@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("m", type=int)
     q.add_argument("--all", action="store_true", help="keep searching after the first seed")
     q.add_argument("--budget", type=float, metavar="SECONDS", help="wall-clock budget")
-    q.add_argument("--resume", metavar="CACHE", help="resume after the last seed in this cache file")
+    q.add_argument("--resume", metavar="CACHE", help="resume after the largest seed in this cache file")
     q.add_argument("--cache", metavar="FILE", help="append found seeds to this cache file")
 
     p = sub.add_parser("reproduce", help="recompute every reference claim and compare")
@@ -288,7 +288,9 @@ def _cmd_seed_search(args: argparse.Namespace) -> int:
         for text in known:
             print(text)
         if known:
-            resume_word = db.word_decode(known[-1], params)
+            # seeds stream out in word order, so the largest one is the furthest
+            words = [db.word_decode(text, params) for text in known]
+            resume_word = max(words, key=lambda w: w.letters)
 
     def on_seed(word, nodes):
         text = db.word_encode(word)

@@ -53,6 +53,7 @@ ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 ENUMERATION_VERTEX_LIMIT = 27
 ENUMERATION_CYCLE_LIMIT = 10**6
+COUNT_DIGIT_LIMIT = 10**6
 DISJOINTNESS_CYCLE_LIMIT = 3000
 
 
@@ -259,8 +260,18 @@ def martin(params: DBParams) -> DeBruijnWord:
 
 
 def count_hamiltonian_cycles(params: DBParams) -> int:
-    """Closed-form count of directed Hamiltonian cycles: (n!)^(n^(m-1)) / n^m."""
+    """Closed-form count of directed Hamiltonian cycles: (n!)^(n^(m-1)) / n^m.
+
+    Refuses, before computing, when (n!)^(n^(m-1)) would have more than
+    COUNT_DIGIT_LIMIT decimal digits.
+    """
     n, m = params.n, params.m
+    log_digits = (m - 1) * math.log10(n) + math.log10(math.lgamma(n + 1) / math.log(10))
+    if log_digits > math.log10(COUNT_DIGIT_LIMIT):
+        raise ValueError(
+            f"count limit: the count would have about 10^{log_digits:.1f} digits, "
+            f"more than {COUNT_DIGIT_LIMIT}"
+        )
     numerator = math.factorial(n) ** (n ** (m - 1))
     denominator = n**m
     assert numerator % denominator == 0, "cycle-count formula must be integral"

@@ -83,11 +83,17 @@ def exhaustive_ramsey_check(
 ) -> tuple[bool, EdgeColoring | None]:
     """Does every 2-coloring of K_n contain a red K_m or a blue K_k?
 
-    Chronological backtracking over the C(n,2) edges in lexicographic
-    order.  A branch dies the moment the newly colored edge completes a
-    forbidden monochromatic clique, so only colorings avoiding both
-    cliques are ever extended; one surviving to the last edge is
-    returned as the counterexample, otherwise (True, None).
+    Chronological backtracking over the C(n,2) edges in column order
+    (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), ...: every prefix ending
+    at (v-1,v) colors all of K_{v+1}, so a branch dies as soon as the
+    newly colored edge completes a forbidden monochromatic clique on
+    the vertices seen so far.  Symmetry break: an edge (0,v) may be red
+    only while every earlier edge at vertex 0 is red.  This loses no
+    coloring up to isomorphism, because relabelling vertices 1..n-1 so
+    that vertex 0's red neighbours come first maps any coloring to one
+    obeying the rule and keeps every monochromatic clique.  A coloring
+    surviving to the last edge is returned as the counterexample,
+    otherwise (True, None).
     """
     if m < 1 or k < 1:
         raise ValueError("clique sizes must be >= 1")
@@ -100,7 +106,7 @@ def exhaustive_ramsey_check(
         if n >= 1:
             return True, None
         return False, EdgeColoring(0, 2, ())
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pairs = [(u, v) for v in range(n) for u in range(v)]
     total = len(pairs)
     colors = [0] * total
     red: list[int] = [0] * n
@@ -111,7 +117,7 @@ def exhaustive_ramsey_check(
             return True
         u, v = pairs[i]
         bu, bv = 1 << u, 1 << v
-        if not _mask_clique(red, red[u] & red[v], m - 2):
+        if (u or not blue[0]) and not _mask_clique(red, red[u] & red[v], m - 2):
             red[u] |= bv
             red[v] |= bu
             colors[i] = 0
@@ -130,7 +136,10 @@ def exhaustive_ramsey_check(
         return False
 
     if extend(0):
-        return False, EdgeColoring(n, 2, colors)
+        # (u, v) with u < v sits at column rank v(v-1)/2 + u
+        return False, EdgeColoring.from_function(
+            n, 2, lambda u, v: colors[v * (v - 1) // 2 + u]
+        )
     return True, None
 
 

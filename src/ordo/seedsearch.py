@@ -10,15 +10,17 @@ membership test per candidate arc.  This prunes enormously earlier
 than building the family per leaf would.
 
 Seeds stream out in lexicographic word order.  A search can therefore
-resume from the last seed recorded in a cache file: the DFS fast-
+resume from the largest seed recorded in a cache file: the DFS fast-
 forwards along the lexicographic lower bound and reports only words
 strictly above it.  Cache files are JSON lines with the fields
-n, m, seed, timestamp, nodes_explored.
+n, m, seed, timestamp, nodes_explored; a final line torn by a crash
+is skipped on reading and dropped by the next append.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -198,12 +200,31 @@ def append_seed_cache(path: str, word: DeBruijnWord, nodes_explored: int) -> Non
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "nodes_explored": int(nodes_explored),
     }
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    with open(path, "ab+") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        if size:
+            fh.seek(size - 1)
+            if fh.read(1) != b"\n":
+                # the last write was torn: drop its partial line, or end a
+                # complete one, so the new entry starts on a line of its own
+                fh.seek(0)
+                data = fh.read()
+                keep = data.rfind(b"\n") + 1
+                try:
+                    json.loads(data[keep:])
+                except ValueError:
+                    fh.truncate(keep)
+                else:
+                    fh.write(b"\n")
+        fh.write((json.dumps(entry, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def read_seed_cache(path: str) -> list[dict]:
-    """All entries of a cache file, validated field by field."""
+    """All entries of a cache file, validated field by field.
+
+    A final line without its newline that does not parse is a write torn
+    by a crash and is skipped; any other malformed line raises.
+    """
     entries = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -213,7 +234,11 @@ def read_seed_cache(path: str) -> list[dict]:
             try:
                 entry = json.loads(line)
             except json.JSONDecodeError as exc:
+                if not raw.endswith("\n"):
+                    break
                 raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}") from None
+            if not isinstance(entry, dict):
+                raise ValueError(f"{path}:{lineno}: not a JSON object")
             for field in ("n", "m", "seed", "timestamp", "nodes_explored"):
                 if field not in entry:
                     raise ValueError(f"{path}:{lineno}: missing field {field!r}")

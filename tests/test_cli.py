@@ -10,6 +10,7 @@ from ordo.cli import main
 from ordo.graphio import write_coloring, write_digraph
 from ordo.graphs import Tournament
 from ordo.ramsey import k17_mod3_coloring
+from ordo.seedsearch import read_seed_cache
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -139,6 +140,12 @@ class TestDebruijn:
         code, out, _ = run(capsys, "debruijn", "count", "3", "3")
         assert (code, out.strip()) == (0, "373248")
 
+    def test_count_refuses_huge_values(self, capsys):
+        # (2!)^(2^39) would have about 1.7e11 digits
+        code, out, err = run(capsys, "debruijn", "count", "2", "40")
+        assert (code, out) == (2, "")
+        assert "count limit" in err
+
     def test_enumerate(self, capsys):
         code, out, _ = run(capsys, "debruijn", "enumerate", "2", "3")
         assert code == 0
@@ -241,6 +248,40 @@ class TestSeedSearch:
             "0021011220",
             "0022110120",
         ]
+
+    def test_resume_after_torn_tail_from_largest_seed(self, tmp_path, capsys):
+        cache = tmp_path / "seeds.jsonl"
+        full = str(tmp_path / "full.jsonl")
+        run(capsys, "debruijn", "seed-search", "3", "2", "--all", "--cache", full)
+        with open(full) as fh:
+            lines = fh.readlines()
+        # out of order, and the last write cut short by a crash
+        cache.write_text(lines[1] + lines[0] + lines[3][:30])
+        code, out, _ = run(
+            capsys, "debruijn", "seed-search", "3", "2", "--all",
+            "--resume", str(cache), "--cache", str(cache),
+        )
+        assert code == 0
+        assert out.split() == [
+            "0012022110",
+            "0011220210",
+            "0021011220",
+            "0022110120",
+        ]
+        assert len(read_seed_cache(str(cache))) == 4
+
+    def test_resume_rejects_interior_garbage(self, tmp_path, capsys):
+        cache = tmp_path / "seeds.jsonl"
+        full = str(tmp_path / "full.jsonl")
+        run(capsys, "debruijn", "seed-search", "3", "2", "--all", "--cache", full)
+        with open(full) as fh:
+            lines = fh.readlines()
+        cache.write_text(lines[0] + "garbage\n" + lines[1])
+        code, _, err = run(
+            capsys, "debruijn", "seed-search", "3", "2", "--resume", str(cache)
+        )
+        assert code == 2
+        assert "seeds.jsonl:2: not valid JSON" in err
 
     def test_budget_exit_code(self, capsys):
         code, _, err = run(

@@ -195,6 +195,13 @@ class TestCensus:
         assert count_hamiltonian_cycles(DBParams(3, 3)) == 373248
         assert count_hamiltonian_cycles(DBParams(4, 2)) == 20736
 
+    def test_count_digit_limit(self):
+        # (5!)^(5^8) has about 812k digits, (5!)^(5^9) about 4.1M
+        assert count_hamiltonian_cycles(DBParams(5, 9)).bit_length() > 2_600_000
+        for n, m in ((5, 10), (2, 40), (36, 4)):
+            with pytest.raises(ValueError, match="count limit"):
+                count_hamiltonian_cycles(DBParams(n, m))
+
     def test_enumeration_matches_count(self):
         for n, m in ((2, 2), (2, 3), (2, 4), (3, 2)):
             p = DBParams(n, m)

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ordo.graphs import EdgeColoring, find_clique, find_independent_set
@@ -98,6 +99,44 @@ class TestExhaustiveCheck:
         holds, _ = exhaustive_ramsey_check(2, 3, 2)
         assert not holds
         assert exhaustive_ramsey_check(2, 3, 3) == (True, None)
+
+    def test_three_four_on_nine_vertices(self):
+        # the (4,3) cases swap the colors, so the vertex-0 rule meets the
+        # other clique size first
+        assert exhaustive_ramsey_check(3, 4, 9) == (True, None)
+        assert exhaustive_ramsey_check(4, 3, 9) == (True, None)
+        holds, counterexample = exhaustive_ramsey_check(4, 3, 8)
+        assert not holds
+        assert verify_coloring(counterexample, (4, 3)) is None
+
+    def test_matches_brute_force_oracle(self):
+        # every 2-coloring of K_n for n <= 6 as a bitmask over the
+        # lexicographic pairs (bit set = red); largest red and blue
+        # clique per coloring, capped at 4
+        for n in range(7):
+            pairs = list(itertools.combinations(range(n), 2))
+            colorings = np.arange(1 << len(pairs), dtype=np.int64)
+            red_omega = np.full(colorings.shape, min(n, 1))
+            blue_omega = red_omega.copy()
+            for size in range(2, min(n, 4) + 1):
+                for subset in itertools.combinations(range(n), size):
+                    inside = sum(
+                        1 << i for i, (u, v) in enumerate(pairs)
+                        if u in subset and v in subset
+                    )
+                    covered = colorings & inside
+                    red_omega[covered == inside] = size
+                    blue_omega[covered == 0] = size
+            for m in range(1, 5):
+                for k in range(1, 5):
+                    expected = not np.any((red_omega < m) & (blue_omega < k))
+                    holds, counterexample = exhaustive_ramsey_check(m, k, n)
+                    assert holds == expected, (m, k, n)
+                    if holds:
+                        assert counterexample is None
+                    else:
+                        assert counterexample.vertex_count == n
+                        assert verify_coloring(counterexample, (m, k)) is None
 
     def test_search_limit(self):
         with pytest.raises(ValueError, match="search limit"):

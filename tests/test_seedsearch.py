@@ -197,6 +197,33 @@ class TestCacheFile:
         with pytest.raises(ValueError, match=r"seeds\.jsonl:2: not valid JSON"):
             read_seed_cache(str(path))
 
+    def test_torn_final_line_skipped(self, tmp_path):
+        path = tmp_path / "seeds.jsonl"
+        params = DBParams(3, 2)
+        for text in SEEDS_3_2[:2]:
+            append_seed_cache(str(path), word_decode(text, params), 0)
+        whole = path.read_text()
+        path.write_text(whole[: len(whole) - 20])
+        assert cached_seeds(str(path), params) == [SEEDS_3_2[0]]
+        # the next append replaces the torn line instead of joining it
+        append_seed_cache(str(path), word_decode(SEEDS_3_2[2], params), 0)
+        assert cached_seeds(str(path), params) == [SEEDS_3_2[0], SEEDS_3_2[2]]
+
+    def test_final_line_without_newline_kept(self, tmp_path):
+        path = tmp_path / "seeds.jsonl"
+        params = DBParams(3, 2)
+        append_seed_cache(str(path), word_decode(SEEDS_3_2[0], params), 0)
+        path.write_text(path.read_text().rstrip("\n"))
+        assert cached_seeds(str(path), params) == [SEEDS_3_2[0]]
+        append_seed_cache(str(path), word_decode(SEEDS_3_2[1], params), 0)
+        assert cached_seeds(str(path), params) == list(SEEDS_3_2[:2])
+
+    def test_entry_must_be_an_object(self, tmp_path):
+        path = tmp_path / "seeds.jsonl"
+        path.write_text("[3, 2]\n")
+        with pytest.raises(ValueError, match=r"seeds\.jsonl:1: not a JSON object"):
+            read_seed_cache(str(path))
+
     def test_resume_from_cache_round_trip(self, tmp_path):
         # interrupted run caches two seeds; resuming finds the other two
         path = str(tmp_path / "seeds.jsonl")
