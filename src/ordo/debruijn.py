@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .graphs import Digraph, SimpleGraph
+from .graphs import Digraph, SimpleGraph, _clique_in
 from .graphio import graph_to_dot
 
 __all__ = [
@@ -53,7 +53,7 @@ ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 ENUMERATION_VERTEX_LIMIT = 27
 ENUMERATION_CYCLE_LIMIT = 10**6
-COUNT_DIGIT_LIMIT = 10**6
+COUNT_DIGIT_LIMIT = 4300  # the interpreter's default int-to-str digit limit
 DISJOINTNESS_CYCLE_LIMIT = 3000
 
 
@@ -136,6 +136,16 @@ def word_encode(word: DeBruijnWord) -> str:
     return cyclic + cyclic[: m - 1]
 
 
+def _rotate_to_zero_window(cyclic: list[int], m: int) -> tuple[int, ...] | None:
+    """The rotation of a cyclic word that starts at its first 0^m
+    window, or None when it has none."""
+    total = len(cyclic)
+    for i in range(total):
+        if all(cyclic[(i + j) % total] == 0 for j in range(m)):
+            return tuple(cyclic[i:] + cyclic[:i])
+    return None
+
+
 def word_decode(text: str, params: DBParams) -> DeBruijnWord:
     """Parse a linear form, validate it, and canonicalize the rotation.
 
@@ -157,16 +167,9 @@ def word_decode(text: str, params: DBParams) -> DeBruijnWord:
         letters.append(value)
     if m > 1 and letters[total:] != letters[: m - 1]:
         raise ValueError("linear form must end with its own first m-1 letters")
-    cyclic = letters[:total]
-    # locate the 0^m window to canonicalize the rotation
-    start = -1
-    for i in range(total):
-        if all(cyclic[(i + j) % total] == 0 for j in range(m)):
-            start = i
-            break
-    if start < 0:
+    rotated = _rotate_to_zero_window(letters[:total], m)
+    if rotated is None:
         raise ValueError("no all-zero window; not a full cycle")
-    rotated = tuple(cyclic[start:] + cyclic[:start])
     return DeBruijnWord(params, rotated)  # window distinctness checked here
 
 
@@ -213,8 +216,7 @@ def de_bruijn_graph(params: DBParams) -> Digraph:
 def underlying_simple_graph(params: DBParams) -> SimpleGraph:
     """Forget directions and loops; antiparallel arc pairs merge."""
     d = de_bruijn_graph(params)
-    edges = {(min(u, v), max(u, v)) for u, v in d.arcs if u != v}
-    return SimpleGraph(d.vertex_count, sorted(edges))
+    return SimpleGraph(d.vertex_count, [(u, v) for u, v in d.arcs if u != v])
 
 
 def flower_dot(params: DBParams) -> str:
@@ -347,15 +349,9 @@ def sigma(word: DeBruijnWord) -> DeBruijnWord:
     """
     n, m = word.params.n, word.params.m
     smap = sigma_symbol_map(n)
-    mapped = [smap[c] for c in word.letters]
-    total = len(mapped)
-    start = -1
-    for i in range(total):
-        if all(mapped[(i + j) % total] == 0 for j in range(m)):
-            start = i
-            break
-    assert start >= 0, "automorphism image must still contain the zero window"
-    return DeBruijnWord(word.params, tuple(mapped[start:] + mapped[:start]))
+    rotated = _rotate_to_zero_window([smap[c] for c in word.letters], m)
+    assert rotated is not None, "automorphism image must still contain the zero window"
+    return DeBruijnWord(word.params, rotated)
 
 
 def rotation_family(seed: DeBruijnWord) -> list[DeBruijnWord]:
@@ -409,8 +405,9 @@ def max_disjoint_exact(params: DBParams) -> tuple[int, list[DeBruijnWord]]:
 
     Enumerates every cycle (inheriting the enumeration guard, plus a
     cap of a few thousand cycles for the quadratic pairing step) and
-    runs branch-and-bound maximum clique on the disjointness graph.
-    Returns the size and the lexicographically first witness of it.
+    asks for a clique of the disjointness graph one cycle larger than
+    the last, until there is none.  Returns the size and the
+    lexicographically first witness of it.
     """
     cycles = list(enumerate_hamiltonian_cycles(params))
     count = len(cycles)
@@ -426,24 +423,8 @@ def max_disjoint_exact(params: DBParams) -> tuple[int, list[DeBruijnWord]]:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
 
-    best: list[int] = []
-
-    def expand(chosen: list[int], cand: int) -> None:
-        nonlocal best
-        if len(chosen) + cand.bit_count() <= len(best):
-            return
-        if not cand:
-            best = chosen[:]
-            return
-        while cand:
-            if len(chosen) + cand.bit_count() <= len(best):
-                return
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            chosen.append(v)
-            expand(chosen, cand & adj[v])
-            chosen.pop()
-
-    expand([], (1 << count) - 1)
+    full = (1 << count) - 1
+    best: tuple[int, ...] = ()
+    while (bigger := _clique_in(adj, full, len(best) + 1)) is not None:
+        best = bigger
     return len(best), [cycles[i] for i in best]

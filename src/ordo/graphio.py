@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .graphs import Digraph, EdgeColoring, SimpleGraph
+from .graphs import Digraph, EdgeColoring, SimpleGraph, _pair_rank
 
 __all__ = [
     "read_graph",
@@ -100,21 +100,26 @@ def read_coloring(text: str) -> EdgeColoring:
         raise ValueError('coloring file must start with a header line "n <vertices> c <colors>"')
     n = int(rows[0][1])
     color_count = int(rows[0][3])
-    colors: list[int | None] = [None] * (n * (n - 1) // 2)
-    probe = EdgeColoring(n, 1, [0] * (n * (n - 1) // 2))  # index arithmetic only
+    pair_count = n * (n - 1) // 2
+    lines = len(rows) - 1
+    if pair_count > lines:
+        # refused before allocating; with enough lines, each one colors
+        # a new pair or is caught as a repeat, so none can go missing
+        raise ValueError(
+            f"at least {pair_count - lines} vertex pairs have no color "
+            f"(K_{n} has {pair_count} pairs, the file {lines} lines)"
+        )
+    colors: list[int | None] = [None] * pair_count
     for row in rows[1:]:
         if len(row) != 3:
             raise ValueError(f"coloring line needs \"u v color\", got {' '.join(row)!r}")
         u = _parse_vertex(row[0], n)
         v = _parse_vertex(row[1], n)
         c = int(row[2])
-        i = probe.pair_index(u, v)
+        i = _pair_rank(n, u, v)
         if colors[i] is not None:
             raise ValueError(f"pair ({u + 1}, {v + 1}) colored twice")
         colors[i] = c
-    missing = sum(1 for c in colors if c is None)
-    if missing:
-        raise ValueError(f"{missing} vertex pairs have no color")
     return EdgeColoring(n, color_count, colors)  # type: ignore[arg-type]
 
 
@@ -155,13 +160,14 @@ def digraph_to_dot(
     """Highlighted arcs, if any, are drawn red and thick."""
     ids = _node_names(d.vertex_count, names)
     marked = set(highlight)
+    arcs = d.arcs
     for u, v in marked:
-        if (u, v) not in d.arcs:
+        if (u, v) not in arcs:
             raise ValueError(f"cannot highlight missing arc ({u}, {v})")
     lines = [f"digraph {title} {{"]
     for v in range(d.vertex_count):
         lines.append(f'  "{ids[v]}";')
-    for u, v in sorted(d.arcs):
+    for u, v in sorted(arcs):
         attr = " [color=red penwidth=2]" if (u, v) in marked else ""
         lines.append(f'  "{ids[u]}" -> "{ids[v]}"{attr};')
     lines.append("}")

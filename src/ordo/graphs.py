@@ -3,6 +3,10 @@
 Vertices are 0-based integers.  Adjacency lives in one Python int per
 vertex (bit v of adj[u] is set iff {u,v} is an edge), so the
 neighborhood intersection needed by the clique search is a single `&`.
+The bitsets are the only stored form: `SimpleGraph.edges`,
+`Digraph.arcs`, the counts, equality and hashing are derived from them
+on demand.  Every k-clique search in the package (find_clique, the
+Ramsey check, the disjoint-family maximum) runs through `_clique_in`.
 All types are immutable after construction and every function is pure.
 """
 
@@ -10,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,29 +39,32 @@ __all__ = [
 class SimpleGraph:
     """Undirected simple graph: no loops, no parallel edges."""
 
-    __slots__ = ("vertex_count", "edges", "adj")
+    __slots__ = ("vertex_count", "adj")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
-        canon: set[tuple[int, int]] = set()
+        adj = [0] * vertex_count
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop edge ({u}, {v}) not allowed in a simple graph")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge ({u}, {v}) out of range for {vertex_count} vertices")
-            canon.add((u, v) if u < v else (v, u))
-        adj = [0] * vertex_count
-        for u, v in canon:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self.vertex_count: int = vertex_count
-        self.edges: frozenset[tuple[int, int]] = frozenset(canon)
         self.adj: tuple[int, ...] = tuple(adj)
 
     @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as (u, v) pairs with u < v, derived from the bits."""
+        return frozenset(
+            (u, v) for u, row in enumerate(self.adj) for v in _bit_indices(row) if u < v
+        )
+
+    @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(row.bit_count() for row in self.adj) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and bool(self.adj[u] >> v & 1)
@@ -68,10 +75,10 @@ class SimpleGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimpleGraph):
             return NotImplemented
-        return self.vertex_count == other.vertex_count and self.edges == other.edges
+        return self.vertex_count == other.vertex_count and self.adj == other.adj
 
     def __hash__(self) -> int:
-        return hash((self.vertex_count, self.edges))
+        return hash((self.vertex_count, self.adj))
 
     def __repr__(self) -> str:
         return f"SimpleGraph({self.vertex_count}, {self.edge_count} edges)"
@@ -80,29 +87,30 @@ class SimpleGraph:
 class Digraph:
     """Directed graph; loops allowed, no parallel arcs."""
 
-    __slots__ = ("vertex_count", "arcs", "out_adj", "in_adj")
+    __slots__ = ("vertex_count", "out_adj", "in_adj")
 
     def __init__(self, vertex_count: int, arcs: Iterable[tuple[int, int]] = ()) -> None:
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
-        canon: set[tuple[int, int]] = set()
+        out_adj = [0] * vertex_count
+        in_adj = [0] * vertex_count
         for u, v in arcs:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"arc ({u}, {v}) out of range for {vertex_count} vertices")
-            canon.add((u, v))
-        out_adj = [0] * vertex_count
-        in_adj = [0] * vertex_count
-        for u, v in canon:
             out_adj[u] |= 1 << v
             in_adj[v] |= 1 << u
         self.vertex_count: int = vertex_count
-        self.arcs: frozenset[tuple[int, int]] = frozenset(canon)
         self.out_adj: tuple[int, ...] = tuple(out_adj)
         self.in_adj: tuple[int, ...] = tuple(in_adj)
 
     @property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        """The arcs as (u, v) pairs, derived from the bits."""
+        return frozenset((u, v) for u, row in enumerate(self.out_adj) for v in _bit_indices(row))
+
+    @property
     def arc_count(self) -> int:
-        return len(self.arcs)
+        return sum(row.bit_count() for row in self.out_adj)
 
     def has_arc(self, u: int, v: int) -> bool:
         return bool(self.out_adj[u] >> v & 1)
@@ -114,15 +122,15 @@ class Digraph:
         return self.in_adj[u].bit_count()
 
     def loops(self) -> frozenset[int]:
-        return frozenset(u for u, v in self.arcs if u == v)
+        return frozenset(u for u, row in enumerate(self.out_adj) if row >> u & 1)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented
-        return self.vertex_count == other.vertex_count and self.arcs == other.arcs
+        return self.vertex_count == other.vertex_count and self.out_adj == other.out_adj
 
     def __hash__(self) -> int:
-        return hash((self.vertex_count, self.arcs))
+        return hash((self.vertex_count, self.out_adj))
 
     def __repr__(self) -> str:
         return f"Digraph({self.vertex_count}, {self.arc_count} arcs)"
@@ -131,22 +139,24 @@ class Digraph:
 class Tournament:
     """Orientation of a complete graph.
 
-    Wraps a Digraph and checks the defining invariant: no loops, and
-    exactly one of (u,v), (v,u) present for every pair u != v (hence
-    exactly C(n,2) arcs).
+    Wraps a Digraph and checks the defining invariant vertex by vertex:
+    no loop at u, no v both in and out of u, and every other vertex in
+    or out of u (so exactly one of (u,v), (v,u) for every pair u != v).
     """
 
     __slots__ = ("digraph",)
 
     def __init__(self, digraph: Digraph) -> None:
-        n = digraph.vertex_count
-        if digraph.arc_count != n * (n - 1) // 2:
-            raise ValueError("tournament needs exactly one arc per vertex pair")
-        for u, v in digraph.arcs:
-            if u == v:
+        everyone = (1 << digraph.vertex_count) - 1
+        for u, (out, into) in enumerate(zip(digraph.out_adj, digraph.in_adj)):
+            if out >> u & 1:
                 raise ValueError(f"tournament cannot contain the loop ({u}, {u})")
-            if (v, u) in digraph.arcs:
+            both = out & into
+            if both:
+                v = (both & -both).bit_length() - 1
                 raise ValueError(f"both orientations of {{{u}, {v}}} present")
+            if out | into != everyone ^ 1 << u:
+                raise ValueError("tournament needs exactly one arc per vertex pair")
         self.digraph: Digraph = digraph
 
     @classmethod
@@ -168,8 +178,26 @@ class Tournament:
         return f"Tournament({self.vertex_count} vertices)"
 
 
+def _bit_indices(row: int) -> list[int]:
+    """The positions of the set bits of row, ascending."""
+    # one pass over the binary digits, least significant first: cheaper
+    # than peeling the low bit off a wide int once per set bit
+    return [i for i, digit in enumerate(bin(row)[:1:-1]) if digit == "1"]
+
+
 def _pair_count(n: int) -> int:
     return n * (n - 1) // 2
+
+
+def _pair_rank(n: int, u: int, v: int) -> int:
+    """Lexicographic rank of the pair {u, v} among the pairs of K_n."""
+    if u == v:
+        raise ValueError("pairs are between distinct vertices")
+    if u > v:
+        u, v = v, u
+    if not 0 <= u < v < n:
+        raise ValueError(f"pair ({u}, {v}) out of range")
+    return u * (2 * n - u - 1) // 2 + (v - u - 1)
 
 
 class EdgeColoring:
@@ -199,13 +227,7 @@ class EdgeColoring:
         self.colors: tuple[int, ...] = flat
 
     def pair_index(self, u: int, v: int) -> int:
-        if u == v:
-            raise ValueError("pairs are between distinct vertices")
-        if u > v:
-            u, v = v, u
-        if not 0 <= u < v < self.vertex_count:
-            raise ValueError(f"pair ({u}, {v}) out of range")
-        return u * (2 * self.vertex_count - u - 1) // 2 + (v - u - 1)
+        return _pair_rank(self.vertex_count, u, v)
 
     def color_of(self, u: int, v: int) -> int:
         return self.colors[self.pair_index(u, v)]
@@ -215,13 +237,8 @@ class EdgeColoring:
         if not 0 <= color < self.color_count:
             raise ValueError(f"color {color} outside 0..{self.color_count - 1}")
         n = self.vertex_count
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if self.colors[self.pair_index(u, v)] == color
-        ]
-        return SimpleGraph(n, edges)
+        pairs = itertools.combinations(range(n), 2)  # in rank order
+        return SimpleGraph(n, (p for p, c in zip(pairs, self.colors) if c == color))
 
     @classmethod
     def from_function(cls, vertex_count: int, color_count: int, fn) -> EdgeColoring:
@@ -292,31 +309,34 @@ def complete_multipartite(part_sizes: list[int]) -> SimpleGraph:
     return SimpleGraph(n, edges)
 
 
-def find_clique(g: SimpleGraph, size: int) -> tuple[int, ...] | None:
-    """Lexicographically smallest clique of the given size, or None.
+def _clique_in(adj: Sequence[int], cand: int, size: int) -> tuple[int, ...] | None:
+    """Lexicographically smallest clique of `size` vertices inside the
+    candidate bitset cand, or None; size <= 0 gives the empty clique.
 
-    Recursive search over candidate bitsets with neighborhood-
-    intersection pruning.  Candidates always stay above the last chosen
-    vertex and are tried in ascending order, so the first complete
-    clique found is the lexicographically smallest one.
+    Candidates are tried in ascending order and each choice narrows the
+    rest to its neighbours above it, so the first clique completed is
+    the smallest.  A branch stops once fewer than `size` candidates
+    remain.
     """
+    if size <= 0:
+        return ()
+    while cand.bit_count() >= size:
+        low = cand & -cand
+        v = low.bit_length() - 1
+        if size == 1:
+            return (v,)
+        cand ^= low
+        rest = _clique_in(adj, cand & adj[v], size - 1)
+        if rest is not None:
+            return (v,) + rest
+    return None
+
+
+def find_clique(g: SimpleGraph, size: int) -> tuple[int, ...] | None:
+    """Lexicographically smallest clique of the given size, or None."""
     if size < 1:
         raise ValueError("size must be >= 1")
-    adj = g.adj
-
-    def extend(chosen: tuple[int, ...], cand: int, need: int) -> tuple[int, ...] | None:
-        while cand.bit_count() >= need:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            if need == 1:
-                return chosen + (v,)
-            found = extend(chosen + (v,), cand & adj[v], need - 1)
-            if found is not None:
-                return found
-        return None
-
-    return extend((), (1 << g.vertex_count) - 1, size)
+    return _clique_in(g.adj, (1 << g.vertex_count) - 1, size)
 
 
 def has_clique(g: SimpleGraph, size: int) -> bool:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .graphs import EdgeColoring, SimpleGraph, find_clique
+from .graphs import EdgeColoring, SimpleGraph, _clique_in, find_clique
 
 __all__ = [
     "MonochromaticWitness",
@@ -63,21 +63,6 @@ def verify_coloring(
     return None
 
 
-def _mask_clique(adj: list[int], mask: int, need: int) -> bool:
-    # is there a clique of `need` vertices inside the candidate bitset?
-    if need <= 0:
-        return True
-    if need == 1:
-        return mask != 0
-    while mask:
-        low = mask & -mask
-        v = low.bit_length() - 1
-        mask ^= low
-        if _mask_clique(adj, mask & adj[v], need - 1):
-            return True
-    return False
-
-
 def exhaustive_ramsey_check(
     m: int, k: int, n: int
 ) -> tuple[bool, EdgeColoring | None]:
@@ -117,7 +102,7 @@ def exhaustive_ramsey_check(
             return True
         u, v = pairs[i]
         bu, bv = 1 << u, 1 << v
-        if (u or not blue[0]) and not _mask_clique(red, red[u] & red[v], m - 2):
+        if (u or not blue[0]) and _clique_in(red, red[u] & red[v], m - 2) is None:
             red[u] |= bv
             red[v] |= bu
             colors[i] = 0
@@ -125,7 +110,7 @@ def exhaustive_ramsey_check(
                 return True
             red[u] ^= bv
             red[v] ^= bu
-        if not _mask_clique(blue, blue[u] & blue[v], k - 2):
+        if _clique_in(blue, blue[u] & blue[v], k - 2) is None:
             blue[u] |= bv
             blue[v] |= bu
             colors[i] = 1

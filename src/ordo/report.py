@@ -177,14 +177,15 @@ class Report:
 
 # --- registry -------------------------------------------------------------
 
-_REGISTRY: list[tuple[str, str, bool, Callable[[int], tuple]]] = []
-_BY_CLAIM: dict[str, tuple[str, bool, Callable[[int], tuple]]] = {}
+# claim -> (tier, flagged, fn), in report order
+_REGISTRY: dict[str, tuple[str, bool, Callable[[int], tuple]]] = {}
 
 
 def _entry(claim: str, tier: str, flagged: bool = False):
     def wrap(fn: Callable[[int], tuple]):
-        _REGISTRY.append((claim, tier, flagged, fn))
-        _BY_CLAIM[claim] = (tier, flagged, fn)
+        if claim in _REGISTRY:
+            raise ValueError(f"duplicate claim {claim!r}")
+        _REGISTRY[claim] = (tier, flagged, fn)
         return fn
 
     return wrap
@@ -840,7 +841,7 @@ def _transitive_tournament(n: int):
 
 
 def _run_one(claim: str, seed: int) -> ReportEntry:
-    tier, flagged, fn = _BY_CLAIM[claim]
+    tier, flagged, fn = _REGISTRY[claim]
     start = time.perf_counter()
     result = fn(seed)
     runtime = time.perf_counter() - start
@@ -858,7 +859,12 @@ def _run_one(claim: str, seed: int) -> ReportEntry:
 
 def _selected_claims(tier: str) -> list[str]:
     depth = TIERS.index(tier)
-    return [claim for claim, t, _, _ in _REGISTRY if TIERS.index(t) <= depth]
+    return [claim for claim, (t, _, _) in _REGISTRY.items() if TIERS.index(t) <= depth]
+
+
+def _skipped(claim: str) -> ReportEntry:
+    tier = _REGISTRY[claim][0]
+    return ReportEntry(claim, tier, "", "run budget exhausted", STATUS_SKIPPED, 0.0)
 
 
 def reproduce_all(
@@ -880,14 +886,9 @@ def reproduce_all(
     if jobs <= 1:
         for claim in claims:
             if deadline is not None and time.monotonic() > deadline:
-                t, _, _ = _BY_CLAIM[claim]
-                entries.append(
-                    ReportEntry(
-                        claim, t, "", "run budget exhausted", STATUS_SKIPPED, 0.0
-                    )
-                )
-                continue
-            entries.append(_run_one(claim, seed))
+                entries.append(_skipped(claim))
+            else:
+                entries.append(_run_one(claim, seed))
         return Report(generated_at, tier, seed, entries)
 
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -895,8 +896,7 @@ def reproduce_all(
         cancelled: set[str] = set()
         swept = False
         for claim in claims:
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0 and not swept:
+            if not swept and deadline is not None and time.monotonic() >= deadline:
                 # deadline passed: cancel everything still queued at once,
                 # otherwise freed workers keep dequeueing entries faster
                 # than this loop can cancel them one by one
@@ -905,14 +905,9 @@ def reproduce_all(
                     if futures[other].cancel():
                         cancelled.add(other)
             if claim in cancelled:
-                t, _, _ = _BY_CLAIM[claim]
-                entries.append(
-                    ReportEntry(
-                        claim, t, "", "run budget exhausted", STATUS_SKIPPED, 0.0
-                    )
-                )
-                continue
-            entries.append(futures[claim].result())
+                entries.append(_skipped(claim))
+            else:
+                entries.append(futures[claim].result())
     return Report(generated_at, tier, seed, entries)
 
 

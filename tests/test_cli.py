@@ -76,6 +76,13 @@ class TestRamsey:
         assert code == 2
         assert "error:" in err
 
+    def test_verify_refuses_huge_header(self, tmp_path, capsys):
+        file = tmp_path / "c.txt"
+        file.write_text("n 100000000 c 2\n1 2 0\n1 3 1\n")
+        code, out, err = run(capsys, "ramsey", "verify", str(file), "--spec", "3,3")
+        assert (code, out) == (2, "")
+        assert "no color" in err
+
     def test_bounds(self, capsys):
         code, out, _ = run(capsys, "ramsey", "bounds", "3", "4")
         assert code == 0
@@ -137,14 +144,17 @@ class TestDebruijn:
         assert (code, out.strip()) == (0, "0022120110")
 
     def test_count(self, capsys):
-        code, out, _ = run(capsys, "debruijn", "count", "3", "3")
-        assert (code, out.strip()) == (0, "373248")
+        for n, m, count in (("3", "3", "373248"), ("3", "4", "12635683568857645056")):
+            code, out, _ = run(capsys, "debruijn", "count", n, m)
+            assert (code, out.strip()) == (0, count)
 
     def test_count_refuses_huge_values(self, capsys):
-        # (2!)^(2^39) would have about 1.7e11 digits
-        code, out, err = run(capsys, "debruijn", "count", "2", "40")
-        assert (code, out) == (2, "")
-        assert "count limit" in err
+        # (2!)^(2^39) would have about 1.7e11 digits; (2!)^(2^15) has
+        # about 9,900, too many for the int-to-str limit of print
+        for m in ("40", "16"):
+            code, out, err = run(capsys, "debruijn", "count", "2", m)
+            assert (code, out) == (2, "")
+            assert "count limit" in err
 
     def test_enumerate(self, capsys):
         code, out, _ = run(capsys, "debruijn", "enumerate", "2", "3")

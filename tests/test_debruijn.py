@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -196,9 +197,10 @@ class TestCensus:
         assert count_hamiltonian_cycles(DBParams(4, 2)) == 20736
 
     def test_count_digit_limit(self):
-        # (5!)^(5^8) has about 812k digits, (5!)^(5^9) about 4.1M
-        assert count_hamiltonian_cycles(DBParams(5, 9)).bit_length() > 2_600_000
-        for n, m in ((5, 10), (2, 40), (36, 4)):
+        # (6!)^(6^4) has about 3,700 digits and still prints;
+        # (2!)^(2^14) has about 4,900, over the int-to-str limit
+        assert len(str(count_hamiltonian_cycles(DBParams(6, 5)))) > 3_600
+        for n, m in ((2, 15), (2, 16), (5, 10), (2, 40), (36, 4)):
             with pytest.raises(ValueError, match="count limit"):
                 count_hamiltonian_cycles(DBParams(n, m))
 
@@ -329,6 +331,27 @@ class TestMaxDisjoint:
         size, witness = max_disjoint_exact(DBParams(2, 4))
         assert size == 1
         assert word_encode(witness[0]) == "0000100110101111000"
+
+    def test_witness_against_brute_force(self):
+        # the lexicographically first family of the largest size, found
+        # by trying every combination of cycles in order
+        for params in (DBParams(3, 2), DBParams(2, 4)):
+            cycles = list(enumerate_hamiltonian_cycles(params))
+            arcs = [arcs_of(w) for w in cycles]
+            best: tuple[int, ...] = ()
+            for size in itertools.count(1):
+                family = next(
+                    (
+                        combo
+                        for combo in itertools.combinations(range(len(cycles)), size)
+                        if all(not arcs[a] & arcs[b] for a, b in itertools.combinations(combo, 2))
+                    ),
+                    None,
+                )
+                if family is None:
+                    break
+                best = family
+            assert max_disjoint_exact(params) == (len(best), [cycles[i] for i in best])
 
     def test_meets_half_floor(self):
         for n, m in ((2, 2), (2, 3), (3, 2)):

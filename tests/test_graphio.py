@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -98,6 +99,17 @@ class TestColoringText:
     def test_missing_pairs_detected(self):
         with pytest.raises(ValueError, match="no color"):
             read_coloring("n 3 c 2\n1 2 0\n")
+
+    def test_huge_header_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            for n in (100_000_000, 3000):
+                with pytest.raises(ValueError, match="no color"):
+                    read_coloring(f"n {n} c 2\n1 2 0\n1 3 1\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # C(3000,2) slots alone would take 36 MB
 
     def test_header_required(self):
         with pytest.raises(ValueError, match="header"):

@@ -185,6 +185,69 @@ class TestDigraph:
             Digraph(2, [(0, 2)])
 
 
+def _random_pairs(n: int, rng: random.Random, loops: bool) -> list[tuple[int, int]]:
+    # drawn with replacement, so duplicate and reversed pairs both occur
+    pairs = [(u, v) for u in range(n) for v in range(n) if loops or u != v]
+    return [rng.choice(pairs) for _ in range(rng.randint(0, 2 * len(pairs)))] if pairs else []
+
+
+class TestBitsetViews:
+    """Views derived from the bits, against a frozenset-of-pairs model."""
+
+    def test_simple_graph_against_pair_set(self):
+        rng = random.Random(11)
+        for n in range(6):
+            built = []
+            for _ in range(60):
+                pairs = _random_pairs(n, rng, loops=False)
+                g = SimpleGraph(n, pairs)
+                model = frozenset((min(u, v), max(u, v)) for u, v in pairs)
+                assert g.edges == model
+                assert g.edge_count == len(model)
+                assert all(g.degree(u) == sum(u in e for e in model) for u in range(n))
+                built.append((g, model))
+            for (g, a), (h, b) in itertools.product(built, repeat=2):
+                assert (g == h) == (a == b)
+                if a == b:
+                    assert hash(g) == hash(h)
+            assert SimpleGraph(n) != SimpleGraph(n + 1)
+
+    def test_digraph_against_pair_set(self):
+        rng = random.Random(12)
+        for n in range(5):
+            built = []
+            for _ in range(60):
+                pairs = _random_pairs(n, rng, loops=True)
+                d = Digraph(n, pairs)
+                model = frozenset(pairs)
+                assert d.arcs == model
+                assert d.arc_count == len(model)
+                assert d.loops() == frozenset(u for u, v in model if u == v)
+                for u in range(n):
+                    assert d.out_degree(u) == sum(a == u for a, _ in model)
+                    assert d.in_degree(u) == sum(b == u for _, b in model)
+                built.append((d, model))
+            for (d, a), (e, b) in itertools.product(built, repeat=2):
+                assert (d == e) == (a == b)
+                if a == b:
+                    assert hash(d) == hash(e)
+            assert Digraph(n) != Digraph(n + 1)
+
+
+def _tournament_error(n: int, arcs: frozenset[tuple[int, int]]) -> str | None:
+    """Pairwise oracle: the first complaint about a vertex, in vertex order."""
+    for u in range(n):
+        if (u, u) in arcs:
+            return f"tournament cannot contain the loop ({u}, {u})"
+        others = [v for v in range(n) if v != u]
+        both = [v for v in others if (u, v) in arcs and (v, u) in arcs]
+        if both:
+            return f"both orientations of {{{u}, {both[0]}}} present"
+        if any((u, v) not in arcs and (v, u) not in arcs for v in others):
+            return "tournament needs exactly one arc per vertex pair"
+    return None
+
+
 class TestTournament:
     def test_validation(self):
         Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
@@ -194,6 +257,22 @@ class TestTournament:
             Tournament.from_arcs(3, [(0, 1), (1, 0), (1, 2)])
         with pytest.raises(ValueError):
             Tournament.from_arcs(2, [(0, 0)])
+
+    def test_validator_against_pairwise_oracle(self):
+        # every loop-free digraph on n <= 4 (4,096 at n = 4), and every
+        # digraph with loops on n <= 3
+        for n in range(5):
+            for loops in (False, True) if n <= 3 else (False,):
+                pairs = [(u, v) for u in range(n) for v in range(n) if loops or u != v]
+                for mask in range(1 << len(pairs)):
+                    arcs = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
+                    expected = _tournament_error(n, arcs)
+                    try:
+                        Tournament.from_arcs(n, arcs)
+                        got = None
+                    except ValueError as exc:
+                        got = str(exc)
+                    assert got == expected, (n, sorted(arcs))
 
     def test_random_is_a_tournament(self):
         rng = random.Random(0)

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from ordo.report import (
-    _BY_CLAIM,
     _REGISTRY,
     STATUS_FLAGGED,
     STATUS_MATCH,
@@ -16,6 +15,7 @@ from ordo.report import (
     TIERS,
     Report,
     ReportEntry,
+    _entry,
     _run_one,
     _selected_claims,
     render_table,
@@ -27,10 +27,10 @@ FLAGGED_CLAIMS = {"martin linear form (3,2)", "cycle count formula (3,4)"}
 
 class TestRegistry:
     def test_claims_unique_and_tiered(self):
-        claims = [claim for claim, _, _, _ in _REGISTRY]
-        assert len(claims) == len(set(claims))
-        assert all(tier in TIERS for _, tier, _, _ in _REGISTRY)
-        assert set(claims) == set(_BY_CLAIM)
+        assert all(tier in TIERS for tier, _, _ in _REGISTRY.values())
+        with pytest.raises(ValueError, match="duplicate claim"):
+            _entry("martin linear form (2,1)", "quick")(lambda seed: ("", ""))
+        assert _REGISTRY["martin linear form (2,1)"][2](0) == ("01", "01")
 
     def test_tiers_nest(self):
         quick = _selected_claims("quick")
@@ -40,10 +40,10 @@ class TestRegistry:
         assert len(long_) == len(_REGISTRY)
 
     def test_flagged_entries(self):
-        flagged = {claim for claim, _, f, _ in _REGISTRY if f}
+        flagged = {claim for claim, (_, f, _) in _REGISTRY.items() if f}
         assert flagged == FLAGGED_CLAIMS
         for claim in FLAGGED_CLAIMS:
-            assert _BY_CLAIM[claim][0] == "quick"
+            assert _REGISTRY[claim][0] == "quick"
 
 
 class TestRunOne:
