@@ -55,6 +55,8 @@ ENUMERATION_VERTEX_LIMIT = 27
 ENUMERATION_CYCLE_LIMIT = 10**6
 COUNT_DIGIT_LIMIT = 4300  # the interpreter's default int-to-str digit limit
 DISJOINTNESS_CYCLE_LIMIT = 3000
+GRAPH_VERTEX_LIMIT = 2**14  # adjacency bitsets take about (n^m)^2 / 16 bytes
+MARTIN_VERTEX_LIMIT = 2**20
 
 
 @dataclass(frozen=True)
@@ -203,8 +205,18 @@ def word_of_vertex(v: int, params: DBParams) -> str:
     return "".join(reversed(digits))
 
 
+def _check_vertex_limit(params: DBParams, limit: int, what: str) -> None:
+    # n^m >= 2^m, so a long window trips the limit without computing n^m
+    if params.m >= limit.bit_length() or params.vertex_count > limit:
+        raise ValueError(f"{what} limit: n^m must be <= {limit}")
+
+
 def de_bruijn_graph(params: DBParams) -> Digraph:
-    """B(n, m) itself: n^m vertices, n^(m+1) arcs, n of them loops."""
+    """B(n, m) itself: n^m vertices, n^(m+1) arcs, n of them loops.
+
+    Refuses n^m > GRAPH_VERTEX_LIMIT before allocating.
+    """
+    _check_vertex_limit(params, GRAPH_VERTEX_LIMIT, "graph")
     n = params.n
     base = n ** (params.m - 1)
     arcs = [
@@ -240,7 +252,9 @@ def martin(params: DBParams) -> DeBruijnWord:
     length-m window has not occurred yet; stop when stuck.  The walk
     always gets stuck back at 0^(m-1) having used every window, so the
     letters accumulated are exactly the linear form of a full cycle.
+    Refuses n^m > MARTIN_VERTEX_LIMIT before allocating.
     """
+    _check_vertex_limit(params, MARTIN_VERTEX_LIMIT, "martin")
     n, m = params.n, params.m
     base = n ** (m - 1)
     letters = [0] * m
@@ -297,38 +311,74 @@ def enumerate_hamiltonian_cycles(params: DBParams) -> Iterator[DeBruijnWord]:
     Iterative DFS from the 0^m vertex trying letters in ascending
     order, which makes the canonical words come out sorted.  Guarded:
     refuses when n^m > 27 or when the closed-form count is over 10^6.
+
+    B(n, m) is the line digraph of B(n, m-1), so a vertex's successors
+    depend only on its last m-1 letters, and the completions of a path
+    depend only on its visited set and that suffix.  The last
+    max(1, n^m // 3) letters of every cycle therefore come from a memo
+    keyed by that pair, built in ascending letter order so that the
+    words still come out sorted.
     """
     _check_enumeration_guard(params)
     n, m = params.n, params.m
     total = params.vertex_count
     base = n ** (m - 1)
-    visited = bytearray(total)
-    visited[0] = 1
+    full = (1 << total) - 1
+    head = (0,) * m
+    # successors of any vertex v, by the suffix v % base, indexed by letter
+    succ = [tuple(r * n + s for s in range(n)) for r in range(base)]
+    memo: dict[int, list[tuple[int, ...]]] = {}
+
+    def tails(visited: int, r: int) -> list[tuple[int, ...]]:
+        # sorted letter sequences that finish the cycle from a path with
+        # this visited bitmask, ending at a vertex with suffix r
+        key = visited * base + r
+        found = memo.get(key)
+        if found is None:
+            found = []
+            for s, w in enumerate(succ[r]):
+                bit = 1 << w
+                if visited & bit:
+                    continue
+                if visited | bit == full:
+                    # w is the last vertex; the cycle closes iff its arc
+                    # back to 0^m exists, i.e. appending letter 0 gives 0^m
+                    if w % base == 0:
+                        found.append((s,))
+                else:
+                    found.extend([(s,) + t for t in tails(visited | bit, w % base)])
+            memo[key] = found
+        return found
+
+    # letters the DFS appends before the memo supplies the rest
+    cut = total - 1 - max(1, total // 3)
+    if cut <= 0:
+        for t in tails(1, 0):
+            yield DeBruijnWord(params, (head + t)[:total])
+        return
+    visited = 1
     syms: list[int] = []
-    stack: list[list[int]] = [[0, 0]]  # frames of [vertex, next letter to try]
+    saved: list[int] = []  # the visited bitmask below each frame
+    stack = [iter(enumerate(succ[0]))]
     while stack:
-        frame = stack[-1]
-        v, s = frame
-        if s == n:
+        for s, w in stack[-1]:
+            if not visited >> w & 1:
+                break
+        else:
             stack.pop()
-            if stack:
-                visited[v] = 0
+            if saved:
+                visited = saved.pop()
                 syms.pop()
             continue
-        frame[1] = s + 1
-        w = (v % base) * n + s
-        if visited[w]:
+        if len(syms) + 1 == cut:
+            prefix = head + tuple(syms) + (s,)
+            for t in tails(visited | 1 << w, w % base):
+                yield DeBruijnWord(params, (prefix + t)[:total])
             continue
-        if len(stack) + 1 == total:
-            # w is the last vertex; the cycle closes iff its arc back
-            # to 0^m exists, i.e. appending letter 0 to w gives 0^m
-            if w % base == 0:
-                letters = (0,) * m + tuple(syms) + (s,)
-                yield DeBruijnWord(params, letters[:total])
-            continue
-        visited[w] = 1
+        saved.append(visited)
+        visited |= 1 << w
         syms.append(s)
-        stack.append([w, 0])
+        stack.append(iter(enumerate(succ[w % base])))
 
 
 def sigma_symbol_map(n: int) -> tuple[int, ...]:
@@ -404,17 +454,19 @@ def max_disjoint_exact(params: DBParams) -> tuple[int, list[DeBruijnWord]]:
     """Largest pairwise arc-disjoint set of Hamiltonian cycles, exactly.
 
     Enumerates every cycle (inheriting the enumeration guard, plus a
-    cap of a few thousand cycles for the quadratic pairing step) and
-    asks for a clique of the disjointness graph one cycle larger than
-    the last, until there is none.  Returns the size and the
-    lexicographically first witness of it.
+    cap of a few thousand cycles for the quadratic pairing step, both
+    checked before enumerating) and asks for a clique of the
+    disjointness graph one cycle larger than the last, until there is
+    none.  Returns the size and the lexicographically first witness of
+    it.
     """
-    cycles = list(enumerate_hamiltonian_cycles(params))
-    count = len(cycles)
-    if count > DISJOINTNESS_CYCLE_LIMIT:
+    _check_enumeration_guard(params)
+    if count_hamiltonian_cycles(params) > DISJOINTNESS_CYCLE_LIMIT:
         raise ValueError(
             f"disjointness limit: more than {DISJOINTNESS_CYCLE_LIMIT} cycles"
         )
+    cycles = list(enumerate_hamiltonian_cycles(params))
+    count = len(cycles)
     arc_sets = [arcs_of(w) for w in cycles]
     adj = [0] * count
     for i in range(count):

@@ -11,9 +11,9 @@ File formats use 1-based vertex numbers; everything in memory is
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .graphs import Digraph, EdgeColoring, SimpleGraph, _pair_rank
+from .graphs import Digraph, EdgeColoring, SimpleGraph, _bit_indices, _pair_rank
 
 __all__ = [
     "read_graph",
@@ -49,6 +49,20 @@ def _parse_vertex(token: str, n: int) -> int:
     return v - 1
 
 
+def _sorted_edges(g: SimpleGraph) -> Iterator[tuple[int, int]]:
+    """The edges (u, v), u < v, in ascending order, read off the rows."""
+    for u, row in enumerate(g.adj):
+        for i in _bit_indices(row >> u + 1):
+            yield u, u + 1 + i
+
+
+def _sorted_arcs(d: Digraph) -> Iterator[tuple[int, int]]:
+    """The arcs (u, v) in ascending order, read off the rows."""
+    for u, row in enumerate(d.out_adj):
+        for v in _bit_indices(row):
+            yield u, v
+
+
 def read_graph(text: str) -> SimpleGraph:
     rows = _content_lines(text)
     if not rows or len(rows[0]) != 2 or rows[0][0] != "n":
@@ -64,7 +78,7 @@ def read_graph(text: str) -> SimpleGraph:
 
 def write_graph(g: SimpleGraph) -> str:
     lines = [f"n {g.vertex_count}"]
-    for u, v in sorted(g.edges):
+    for u, v in _sorted_edges(g):
         lines.append(f"{u + 1} {v + 1}")
     return "\n".join(lines) + "\n"
 
@@ -84,7 +98,7 @@ def read_digraph(text: str) -> Digraph:
 
 def write_digraph(d: Digraph) -> str:
     lines = [f"digraph n {d.vertex_count}"]
-    for u, v in sorted(d.arcs):
+    for u, v in _sorted_arcs(d):
         lines.append(f"{u + 1} -> {v + 1}")
     return "\n".join(lines) + "\n"
 
@@ -145,7 +159,7 @@ def graph_to_dot(g: SimpleGraph, names: Sequence[str] | None = None, title: str 
     lines = [f"graph {title} {{"]
     for v in range(g.vertex_count):
         lines.append(f'  "{ids[v]}";')
-    for u, v in sorted(g.edges):
+    for u, v in _sorted_edges(g):
         lines.append(f'  "{ids[u]}" -- "{ids[v]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -159,15 +173,15 @@ def digraph_to_dot(
 ) -> str:
     """Highlighted arcs, if any, are drawn red and thick."""
     ids = _node_names(d.vertex_count, names)
+    n = d.vertex_count
     marked = set(highlight)
-    arcs = d.arcs
     for u, v in marked:
-        if (u, v) not in arcs:
+        if not (0 <= u < n and 0 <= v < n and d.has_arc(u, v)):
             raise ValueError(f"cannot highlight missing arc ({u}, {v})")
     lines = [f"digraph {title} {{"]
     for v in range(d.vertex_count):
         lines.append(f'  "{ids[v]}";')
-    for u, v in sorted(arcs):
+    for u, v in _sorted_arcs(d):
         attr = " [color=red penwidth=2]" if (u, v) in marked else ""
         lines.append(f'  "{ids[u]}" -> "{ids[v]}"{attr};')
     lines.append("}")

@@ -118,11 +118,15 @@ def rotation_seed_search(
     n, m = params.n, params.m
     total = params.vertex_count
     base = n ** (m - 1)
-    orbits = _arc_orbits(params)
-    used = bytearray(total * n)
-    visited = bytearray(total)
-    visited[0] = 1
-    syms: list[int] = []
+    orbit_masks = [sum(1 << x for x in set(orbit)) for orbit in _arc_orbits(params)]
+    # per vertex, one step per letter: (letter, successor, arc id, orbit mask)
+    steps = [
+        tuple(
+            (s, (v % base) * n + s, v * n + s, orbit_masks[v * n + s])
+            for s in range(n)
+        )
+        for v in range(total)
+    ]
     bound: list[int] | None = None
     if resume_after is not None:
         if resume_after.params != params:
@@ -132,61 +136,60 @@ def rotation_seed_search(
     seeds: list[DeBruijnWord] = []
     nodes = 0
     deadline = None if time_budget is None else time.monotonic() + time_budget
+    if (node_budget is not None and node_budget <= 0) or (
+        deadline is not None and time.monotonic() > deadline
+    ):
+        return SeedSearchResult(params, seeds, nodes, False, True)
     out_of_budget = False
 
-    # frames: [vertex, next letter, committed arc id (-1 for the root),
-    #          1 while the path equals the resume bound's prefix]
-    root_tight = 1 if bound is not None else 0
-    stack: list[list[int]] = [[0, bound[0] if root_tight else 0, -1, root_tight]]
+    # bitmasks of the vertices on the path and of the arcs of every
+    # committed orbit; tight while the path equals the resume bound's
+    # prefix, in which case the top frame's steps start at its letter
+    visited = 1
+    used = 0
+    tight = bound is not None
+    syms: list[int] = []
+    saved: list[tuple[int, int, bool]] = []  # (visited, used, tight) below each frame
+    stack = [iter(steps[0][bound[0]:] if tight else steps[0])]
 
     while stack:
-        if node_budget is not None and nodes >= node_budget:
-            out_of_budget = True
-            break
-        if deadline is not None and nodes % _BUDGET_CHECK_STRIDE == 0:
-            if time.monotonic() > deadline:
-                out_of_budget = True
+        for s, w, aid, orbit in stack[-1]:
+            if not (visited >> w & 1 or used >> aid & 1):
                 break
-        frame = stack[-1]
-        v, s = frame[0], frame[1]
-        if s == n:
+        else:
             stack.pop()
-            if stack:
-                visited[v] = 0
+            if saved:
+                visited, used, tight = saved.pop()
                 syms.pop()
-                for aid in orbits[frame[2]]:
-                    used[aid] = 0
-            continue
-        frame[1] = s + 1
-        w = (v % base) * n + s
-        if visited[w]:
-            continue
-        aid = v * n + s
-        if used[aid]:
             continue
         nodes += 1
         depth = len(syms)  # index of the letter s in the extension sequence
-        tight = frame[3] and bound is not None and s == bound[depth]
-        if len(stack) + 1 == total:
-            # last vertex; the closing arc back to 0^m appends letter 0
-            if w % base != 0 or used[w * n]:
-                continue
-            if tight:
-                continue  # this is resume_after itself; already reported
-            letters = ((0,) * m + tuple(syms) + (s,))[:total]
-            seed = DeBruijnWord(params, letters)
-            assert pairwise_arc_disjoint(rotation_family(seed))
-            seeds.append(seed)
-            stop = on_seed(seed, nodes) if on_seed is not None else None
-            if stop or not find_all:
-                return SeedSearchResult(params, seeds, nodes, True, False)
-            continue
-        for x in orbits[aid]:
-            used[x] = 1
-        visited[w] = 1
-        syms.append(s)
-        start = bound[depth + 1] if tight else 0
-        stack.append([w, start, aid, int(tight)])
+        step_tight = tight and s == bound[depth]
+        if depth + 2 == total:
+            # last vertex; the closing arc back to 0^m appends letter 0,
+            # and the resume word itself was already reported
+            if w % base == 0 and not used >> (w * n) & 1 and not step_tight:
+                letters = ((0,) * m + tuple(syms) + (s,))[:total]
+                seed = DeBruijnWord(params, letters)
+                assert pairwise_arc_disjoint(rotation_family(seed))
+                seeds.append(seed)
+                stop = on_seed(seed, nodes) if on_seed is not None else None
+                if stop or not find_all:
+                    return SeedSearchResult(params, seeds, nodes, True, False)
+        else:
+            saved.append((visited, used, tight))
+            visited |= 1 << w
+            used |= orbit
+            tight = step_tight
+            syms.append(s)
+            stack.append(iter(steps[w][bound[depth + 1]:] if tight else steps[w]))
+        if nodes == node_budget or (
+            deadline is not None
+            and nodes % _BUDGET_CHECK_STRIDE == 0
+            and time.monotonic() > deadline
+        ):
+            out_of_budget = True
+            break
 
     return SeedSearchResult(params, seeds, nodes, not out_of_budget, out_of_budget)
 

@@ -156,6 +156,17 @@ class TestDebruijn:
             assert (code, out) == (2, "")
             assert "count limit" in err
 
+    def test_graph_and_martin_refuse_huge_values(self, capsys):
+        for argv, message in (
+            (("graph", "36", "8"), "graph limit"),
+            (("graph", "36", "8", "--dot"), "graph limit"),
+            (("graph", "36", "8", "--flower"), "graph limit"),
+            (("martin", "2", "30"), "martin limit"),
+        ):
+            code, out, err = run(capsys, "debruijn", *argv)
+            assert (code, out) == (2, ""), argv
+            assert message in err
+
     def test_enumerate(self, capsys):
         code, out, _ = run(capsys, "debruijn", "enumerate", "2", "3")
         assert code == 0

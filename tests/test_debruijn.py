@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
+from ordo import debruijn
 from ordo.debruijn import (
+    ENUMERATION_CYCLE_LIMIT,
+    ENUMERATION_VERTEX_LIMIT,
     DBParams,
     DeBruijnWord,
     arc_conflict,
@@ -34,6 +38,72 @@ from ordo.report import (
     REFERENCE_CYCLES_2_3,
     REFERENCE_CYCLES_3_2,
 )
+
+
+def reference_cycles(params: DBParams):
+    """Letter tuples of every Hamiltonian cycle, in lexicographic order,
+    by a plain DFS over the whole tree: the census oracle."""
+    n, m = params.n, params.m
+    total = params.vertex_count
+    base = n ** (m - 1)
+    visited = bytearray(total)
+    visited[0] = 1
+    syms: list[int] = []
+    stack = [[0, 0]]  # frames of [vertex, next letter to try]
+    while stack:
+        frame = stack[-1]
+        v, s = frame
+        if s == n:
+            stack.pop()
+            if stack:
+                visited[v] = 0
+                syms.pop()
+            continue
+        frame[1] = s + 1
+        w = (v % base) * n + s
+        if visited[w]:
+            continue
+        if len(stack) + 1 == total:
+            if w % base == 0:
+                yield ((0,) * m + tuple(syms) + (s,))[:total]
+            continue
+        visited[w] = 1
+        syms.append(s)
+        stack.append([w, 0])
+
+
+def lyndon_cycle(n: int, m: int) -> tuple[int, ...]:
+    """The lexicographically first cycle: the Lyndon words of length
+    dividing m, concatenated in order (Fredricksen-Kessler-Maiorana)."""
+    out: list[int] = []
+    a = [0] * (m + 1)
+
+    def extend(t: int, p: int) -> None:
+        if t > m:
+            if m % p == 0:
+                out.extend(a[1 : p + 1])
+            return
+        a[t] = a[t - p]
+        extend(t + 1, p)
+        for j in range(a[t - p] + 1, n):
+            a[t] = j
+            extend(t + 1, t)
+
+    extend(1, 1)
+    return tuple(out)
+
+
+def enumerable_params() -> list[DBParams]:
+    """Every B(n, m) the enumeration guard admits."""
+    out = []
+    for n in range(2, 37):
+        m = 1
+        while n**m <= ENUMERATION_VERTEX_LIMIT:
+            p = DBParams(n, m)
+            if count_hamiltonian_cycles(p) <= ENUMERATION_CYCLE_LIMIT:
+                out.append(p)
+            m += 1
+    return out
 
 
 class TestParams:
@@ -173,6 +243,35 @@ class TestArcs:
             assert arcs <= graph_arcs
 
 
+class TestSizeGuards:
+    def test_refused_before_allocating(self):
+        # B(36, 8) would need about 10^23 bytes of bitsets; a greedy walk
+        # on B(2, 30) a 2^30-byte seen table
+        refused = (
+            (de_bruijn_graph, DBParams(36, 8), "graph limit"),
+            (de_bruijn_graph, DBParams(2, 15), "graph limit"),
+            (underlying_simple_graph, DBParams(5, 7), "graph limit"),
+            (flower_dot, DBParams(36, 3), "graph limit"),
+            (martin, DBParams(2, 30), "martin limit"),
+            (martin, DBParams(2, 21), "martin limit"),
+            (martin, DBParams(36, 4), "martin limit"),
+            (martin, DBParams(2, 10**9), "martin limit"),
+        )
+        tracemalloc.start()
+        try:
+            for fn, params, message in refused:
+                with pytest.raises(ValueError, match=message):
+                    fn(params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_limits_admit_what_the_workbench_uses(self):
+        assert de_bruijn_graph(DBParams(2, 10)).vertex_count == 1024
+        assert len(martin(DBParams(2, 12)).letters) == 4096
+
+
 class TestMartin:
     def test_frozen_outputs(self):
         assert word_encode(martin(DBParams(2, 1))) == "01"
@@ -223,6 +322,40 @@ class TestCensus:
     def test_martin_word_is_enumerated(self):
         texts = [word_encode(w) for w in enumerate_hamiltonian_cycles(DBParams(3, 2))]
         assert word_encode(martin(DBParams(3, 2))) in texts
+
+    def test_stream_matches_plain_dfs(self):
+        # every admitted case but (3,3), among them m = 1 and the tiny
+        # graphs the memo answers from the root
+        cases = [p for p in enumerable_params() if p != DBParams(3, 3)]
+        assert {(p.n, p.m) for p in cases} == {
+            (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (4, 2),
+            (5, 1), (6, 1), (7, 1), (8, 1), (9, 1), (10, 1),
+        }
+        for p in cases:
+            fast = enumerate_hamiltonian_cycles(p)
+            count = 0
+            for word, letters in itertools.zip_longest(fast, reference_cycles(p)):
+                assert word is not None and letters is not None, (p, count)
+                assert word.letters == letters, (p, count)
+                count += 1
+            assert count == count_hamiltonian_cycles(p)
+
+    def test_three_three_census(self):
+        # each word is validated on construction, so a strictly rising
+        # stream of the closed-form length is the full set, in order
+        p = DBParams(3, 3)
+        count = 0
+        first = prev = None
+        for word in enumerate_hamiltonian_cycles(p):
+            if prev is None:
+                first = word.letters
+            else:
+                assert word.letters > prev
+            prev = word.letters
+            count += 1
+        assert count == 373_248 == count_hamiltonian_cycles(p)
+        assert first == lyndon_cycle(3, 3)
+        assert prev == martin(p).letters
 
     def test_guards(self):
         with pytest.raises(ValueError, match="n\\^m must be"):
@@ -361,3 +494,16 @@ class TestMaxDisjoint:
     def test_cycle_limit(self):
         with pytest.raises(ValueError, match="disjointness limit"):
             max_disjoint_exact(DBParams(4, 2))
+
+    def test_limits_checked_before_enumerating(self, monkeypatch):
+        def refuse(params):
+            raise AssertionError("enumerated before checking the limits")
+
+        monkeypatch.setattr(debruijn, "enumerate_hamiltonian_cycles", refuse)
+        for n, m, message in (
+            (4, 2, "disjointness limit"),
+            (3, 3, "disjointness limit"),
+            (5, 2, "enumeration limit"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                max_disjoint_exact(DBParams(n, m))

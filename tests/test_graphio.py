@@ -116,6 +116,63 @@ class TestColoringText:
             read_coloring("n 3\n")
 
 
+def sorted_pairs_graph(g: SimpleGraph) -> str:
+    lines = [f"n {g.vertex_count}"] + [f"{u + 1} {v + 1}" for u, v in sorted(g.edges)]
+    return "\n".join(lines) + "\n"
+
+
+def sorted_pairs_digraph(d: Digraph) -> str:
+    lines = [f"digraph n {d.vertex_count}"] + [f"{u + 1} -> {v + 1}" for u, v in sorted(d.arcs)]
+    return "\n".join(lines) + "\n"
+
+
+def sorted_pairs_graph_dot(g: SimpleGraph) -> str:
+    lines = ["graph G {"] + [f'  "{v + 1}";' for v in range(g.vertex_count)]
+    lines += [f'  "{u + 1}" -- "{v + 1}";' for u, v in sorted(g.edges)]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def sorted_pairs_digraph_dot(d: Digraph, marked: set) -> str:
+    lines = ["digraph G {"] + [f'  "{v + 1}";' for v in range(d.vertex_count)]
+    for u, v in sorted(d.arcs):
+        attr = " [color=red penwidth=2]" if (u, v) in marked else ""
+        lines.append(f'  "{u + 1}" -> "{v + 1}"{attr};')
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+class TestWritersMatchSortedPairs:
+    # the writers walk the adjacency bits row by row; the output must be
+    # the text the sorted pair sets give, byte for byte
+    def test_random_graphs(self):
+        rng = random.Random(5)
+        for trial in range(60):
+            n = rng.randrange(0, 40)
+            density = rng.random()
+            pairs = [
+                (u, v) for u in range(n) for v in range(n) if u != v and rng.random() < density / 2
+            ]
+            g = SimpleGraph(n, pairs)
+            assert write_graph(g) == sorted_pairs_graph(g)
+            assert graph_to_dot(g) == sorted_pairs_graph_dot(g)
+
+    def test_random_digraphs_with_loops(self):
+        rng = random.Random(6)
+        for trial in range(60):
+            n = rng.randrange(0, 40)
+            density = rng.random()
+            arcs = [(u, v) for u in range(n) for v in range(n) if rng.random() < density]
+            d = Digraph(n, arcs)
+            marked = set(rng.sample(arcs, min(len(arcs), 3)))
+            assert write_digraph(d) == sorted_pairs_digraph(d)
+            assert digraph_to_dot(d, highlight=marked) == sorted_pairs_digraph_dot(d, marked)
+
+    def test_isolated_vertices_and_loops(self):
+        g = SimpleGraph(6, [(4, 1), (1, 3)])
+        assert write_graph(g) == "n 6\n2 4\n2 5\n"
+        d = Digraph(4, [(3, 3), (2, 0), (0, 0), (0, 2)])
+        assert write_digraph(d) == "digraph n 4\n1 -> 1\n1 -> 3\n3 -> 1\n4 -> 4\n"
+
+
 class TestDot:
     def test_graph_dot(self):
         g = SimpleGraph(3, [(0, 1)])
@@ -137,8 +194,9 @@ class TestDot:
         dot = digraph_to_dot(d, highlight=[some_arc])
         assert "penwidth" in dot and "red" in dot
         missing = (some_arc[1], some_arc[0])
-        with pytest.raises(ValueError, match="missing arc"):
-            digraph_to_dot(d, highlight=[missing])
+        for bad in (missing, (-1, 0), (0, -1), (4, 0), (0, 4)):
+            with pytest.raises(ValueError, match="missing arc"):
+                digraph_to_dot(d, highlight=[bad])
 
     def test_coloring_dot_uses_palette(self):
         col = EdgeColoring.from_function(3, 2, lambda u, v: (u + v) % 2)

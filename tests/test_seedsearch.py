@@ -119,10 +119,13 @@ class TestBudgets:
         result = rotation_seed_search(DBParams(4, 2), find_all=True, node_budget=10)
         assert result.budget_exhausted and not result.completed
         assert result.nodes_explored <= 10
+        result = rotation_seed_search(DBParams(4, 2), find_all=True, node_budget=0)
+        assert result.budget_exhausted and (result.nodes_explored, result.seeds) == (0, [])
 
     def test_time_budget_zero(self):
         result = rotation_seed_search(DBParams(4, 2), find_all=True, time_budget=0.0)
         assert result.budget_exhausted and not result.completed
+        assert (result.nodes_explored, result.seeds) == (0, [])
 
     def test_generous_budget_completes(self):
         result = rotation_seed_search(
@@ -154,6 +157,54 @@ class TestBudgets:
         assert seen == [SEEDS_3_2[0]]
         assert len(result.seeds) == 1
         assert result.completed
+
+
+class TestParityPins:
+    # exact node counts and seeds: nodes_explored is part of the result
+    # (budgets, cache entries), so a faster search must not move it
+    def test_full_trees(self):
+        for (n, m), nodes, seeds in (((3, 2), 126, 4), ((4, 2), 22_470, 288)):
+            result = rotation_seed_search(DBParams(n, m), find_all=True)
+            assert (result.nodes_explored, len(result.seeds)) == (nodes, seeds)
+            assert result.completed and not result.budget_exhausted
+
+    def test_nodes_to_first_seed(self):
+        for (n, m), nodes in (((5, 2), 786), ((3, 3), 323), ((6, 2), 94_511), ((4, 3), 6_051)):
+            result = rotation_seed_search(DBParams(n, m))
+            assert result.nodes_explored == nodes
+            assert word_encode(result.seeds[0]) == REFERENCE_SEEDS[(n, m)][0]
+
+    def test_budget_equal_to_the_tree_still_reports_exhausted(self):
+        # the budget stops the search right after its last counted node
+        for budget, exhausted in ((125, True), (126, True), (127, False)):
+            result = rotation_seed_search(DBParams(3, 2), find_all=True, node_budget=budget)
+            assert result.budget_exhausted is exhausted
+            assert result.completed is not exhausted
+            assert result.nodes_explored == min(budget, 126)
+        result = rotation_seed_search(DBParams(5, 2), node_budget=786)
+        assert result.completed and result.nodes_explored == 786 and len(result.seeds) == 1
+
+    def test_budgeted_resume_seven_two(self):
+        # a letter-permuted greedy word sits early in lexicographic order
+        p = DBParams(7, 2)
+        result = rotation_seed_search(
+            p,
+            find_all=True,
+            node_budget=60_000,
+            resume_after=word_decode("00115161312141055653525450663626460332343022420440", p),
+        )
+        assert result.budget_exhausted and not result.completed
+        assert result.nodes_explored == 60_000
+        assert [word_encode(w) for w in result.seeds] == [
+            "00115161312141056020322336440426530634524662554350",
+            "00115161312141056020322336530634255435046624526440",
+            "00115161312141056020322336530642554350463452662440",
+            "00115161312141056020322336624526530644355046342540",
+            "00115161312141056020322344306352640466245336542550",
+            "00115161312141056020322362453306344665404255264350",
+            "00115161312141056020322362453350466542552643063440",
+            "00115161312141056020322362453352654255046634430640",
+        ]
 
 
 class TestCacheFile:
