@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .graphs import Digraph, SimpleGraph, _clique_in
+from .graphs import GRAPH_VERTEX_LIMIT, Digraph, SimpleGraph, _clique_in
 from .graphio import graph_to_dot
 
 __all__ = [
@@ -55,7 +55,6 @@ ENUMERATION_VERTEX_LIMIT = 27
 ENUMERATION_CYCLE_LIMIT = 10**6
 COUNT_DIGIT_LIMIT = 4300  # the interpreter's default int-to-str digit limit
 DISJOINTNESS_CYCLE_LIMIT = 3000
-GRAPH_VERTEX_LIMIT = 2**14  # adjacency bitsets take about (n^m)^2 / 16 bytes
 MARTIN_VERTEX_LIMIT = 2**20
 
 

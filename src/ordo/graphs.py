@@ -35,6 +35,9 @@ __all__ = [
     "all_tournaments",
 ]
 
+# the most vertices a graph is built with: its rows take up to n^2 / 8 bytes
+GRAPH_VERTEX_LIMIT = 2**14
+
 
 class SimpleGraph:
     """Undirected simple graph: no loops, no parallel edges."""
@@ -54,6 +57,14 @@ class SimpleGraph:
             adj[v] |= 1 << u
         self.vertex_count: int = vertex_count
         self.adj: tuple[int, ...] = tuple(adj)
+
+    @classmethod
+    def _from_rows(cls, adj: list[int]) -> SimpleGraph:
+        """Adopt rows the caller built symmetric and loop-free, unchecked."""
+        g = cls.__new__(cls)
+        g.vertex_count = len(adj)
+        g.adj = tuple(adj)
+        return g
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -102,6 +113,24 @@ class Digraph:
         self.vertex_count: int = vertex_count
         self.out_adj: tuple[int, ...] = tuple(out_adj)
         self.in_adj: tuple[int, ...] = tuple(in_adj)
+
+    @classmethod
+    def from_rows(cls, out_adj: Sequence[int]) -> Digraph:
+        """The digraph whose row u has bit v set iff (u, v) is an arc.
+
+        One row per vertex; a bit at or past the vertex count, or a
+        negative row, is refused.  in_adj is the transposed bit matrix.
+        """
+        rows = tuple(out_adj)
+        n = len(rows)
+        for u, row in enumerate(rows):
+            if row >> n:
+                raise ValueError(f"row {u} has bits outside 0..{n - 1}")
+        d = cls.__new__(cls)
+        d.vertex_count = n
+        d.out_adj = rows
+        d.in_adj = _transpose(rows)
+        return d
 
     @property
     def arcs(self) -> frozenset[tuple[int, int]]:
@@ -172,7 +201,7 @@ class Tournament:
         return self.digraph.arcs
 
     def has_arc(self, u: int, v: int) -> bool:
-        return self.digraph.has_arc(u, v)
+        return bool(self.digraph.out_adj[u] >> v & 1)
 
     def __repr__(self) -> str:
         return f"Tournament({self.vertex_count} vertices)"
@@ -183,6 +212,23 @@ def _bit_indices(row: int) -> list[int]:
     # one pass over the binary digits, least significant first: cheaper
     # than peeling the low bit off a wide int once per set bit
     return [i for i, digit in enumerate(bin(row)[:1:-1]) if digit == "1"]
+
+
+def _transpose(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The rows of the transposed n x n bit matrix, n = len(rows)."""
+    n = len(rows)
+    if n == 0:
+        return ()
+    # one byte string of little-endian rows, unpacked to an n x n matrix
+    # of one byte per bit, transposed and packed back: far cheaper than
+    # setting one bit per arc once n passes a handful of vertices
+    width = (n + 7) // 8
+    packed = np.frombuffer(
+        b"".join([row.to_bytes(width, "little") for row in rows]), dtype=np.uint8
+    ).reshape(n, width)
+    bits = np.unpackbits(packed, axis=1, count=n, bitorder="little")
+    data = np.packbits(bits.T, axis=1, bitorder="little").tobytes()
+    return tuple([int.from_bytes(data[i : i + width], "little") for i in range(0, n * width, width)])
 
 
 def _pair_count(n: int) -> int:
@@ -296,17 +342,12 @@ def complete_multipartite(part_sizes: list[int]) -> SimpleGraph:
     for s in part_sizes:
         if s < 1:
             raise ValueError("every part size must be >= 1")
-    bounds = [0]
+    everyone = (1 << sum(part_sizes)) - 1
+    rows: list[int] = []
     for s in part_sizes:
-        bounds.append(bounds[-1] + s)
-    n = bounds[-1]
-    edges = []
-    for a in range(len(part_sizes)):
-        for b in range(a + 1, len(part_sizes)):
-            for u in range(bounds[a], bounds[a + 1]):
-                for v in range(bounds[b], bounds[b + 1]):
-                    edges.append((u, v))
-    return SimpleGraph(n, edges)
+        # each vertex is joined to everyone outside its own part
+        rows.extend([everyone ^ ((1 << s) - 1) << len(rows)] * s)
+    return SimpleGraph._from_rows(rows)
 
 
 def _clique_in(adj: Sequence[int], cand: int, size: int) -> tuple[int, ...] | None:
@@ -388,19 +429,37 @@ def max_edges_without_clique_oracle(n: int, k: int) -> int:
 
 
 def random_tournament(n: int, rng: random.Random) -> Tournament:
-    """Uniformly random orientation of K_n."""
-    arcs = []
+    """Uniformly random orientation of K_n.
+
+    One rng.getrandbits(1) per pair, pairs in lexicographic order: a set
+    bit orients {u, v} (u < v) as u -> v.
+    """
+    getrandbits = rng.getrandbits
+    rows = [0] * n
     for u in range(n):
+        bit_u = 1 << u
+        row = rows[u]  # u's arcs to the vertices before it, set by their pairs
         for v in range(u + 1, n):
-            arcs.append((u, v) if rng.getrandbits(1) else (v, u))
-    return Tournament.from_arcs(n, arcs)
+            if getrandbits(1):
+                row |= 1 << v
+            else:
+                rows[v] |= bit_u
+        rows[u] = row
+    return Tournament(Digraph.from_rows(rows))
 
 
 def all_tournaments(n: int) -> Iterator[Tournament]:
-    """Every orientation of K_n, in bitmask order (2^C(n,2) of them)."""
+    """Every orientation of K_n, in bitmask order (2^C(n,2) of them).
+
+    Bit i of the mask orients the i-th pair (u, v), u < v, in
+    lexicographic order: set means u -> v.
+    """
     pairs = list(itertools.combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
-        arcs = [
-            (u, v) if mask >> i & 1 else (v, u) for i, (u, v) in enumerate(pairs)
-        ]
-        yield Tournament.from_arcs(n, arcs)
+        rows = [0] * n
+        for i, (u, v) in enumerate(pairs):
+            if mask >> i & 1:
+                rows[u] |= 1 << v
+            else:
+                rows[v] |= 1 << u
+        yield Tournament(Digraph.from_rows(rows))

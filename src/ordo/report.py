@@ -64,6 +64,7 @@ from .ramsey import (
 )
 from .redei import (
     ArcQueryCounter,
+    count_hamiltonian_paths,
     count_hamiltonian_paths_oracle,
     is_hamiltonian_path,
     redei_hamiltonian_path,
@@ -688,16 +689,13 @@ def _turan_oracle(seed: int) -> tuple[str, str]:
 
 
 def _is_complete_multipartite(g, part_sizes: list[int]) -> bool:
-    part = []
-    for i, size in enumerate(part_sizes):
-        part.extend([i] * size)
-    if len(part) != g.vertex_count:
-        return False
-    for u in range(g.vertex_count):
-        for v in range(u + 1, g.vertex_count):
-            if g.has_edge(u, v) != (part[u] != part[v]):
-                return False
-    return True
+    # vertex u of a part spanning bits `part` must see exactly the rest
+    everyone = (1 << g.vertex_count) - 1
+    rows: list[int] = []
+    for size in part_sizes:
+        part = ((1 << size) - 1) << len(rows)
+        rows += [everyone & ~part] * size
+    return tuple(rows) == g.adj
 
 
 @_entry("extremal graph examples", "quick")
@@ -774,14 +772,14 @@ def _redei_odd(seed: int) -> tuple[str, str]:
     failures = []
     for n in range(6):
         for t in all_tournaments(n):
-            if count_hamiltonian_paths_oracle(t) % 2 == 0:
+            if count_hamiltonian_paths(t) % 2 == 0:
                 failures.append(f"even count on {n} vertices")
                 break
     rng = random.Random(seed)
     for n in (6, 7):
         for _ in range(100):
             t = random_tournament(n, rng)
-            if count_hamiltonian_paths_oracle(t) % 2 == 0:
+            if count_hamiltonian_paths(t) % 2 == 0:
                 failures.append(f"even count on {n} vertices")
                 break
     return _sweep(expected, failures)
@@ -832,9 +830,11 @@ def _cyclic_triangle():
 
 
 def _transitive_tournament(n: int):
-    from .graphs import Tournament
+    from .graphs import Digraph, Tournament
 
-    return Tournament.from_arcs(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    # u beats every later vertex
+    everyone = (1 << n) - 1
+    return Tournament(Digraph.from_rows([everyone ^ ((2 << u) - 1) for u in range(n)]))
 
 
 # --- runner ---------------------------------------------------------------

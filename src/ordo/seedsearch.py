@@ -27,8 +27,10 @@ from datetime import datetime, timezone
 from typing import Callable
 
 from .debruijn import (
+    GRAPH_VERTEX_LIMIT,
     DBParams,
     DeBruijnWord,
+    _check_vertex_limit,
     pairwise_arc_disjoint,
     rotation_family,
     sigma_symbol_map,
@@ -114,7 +116,9 @@ def rotation_seed_search(
     resume_after skips every word up to and including the given one.
     on_seed fires for each seed the moment it is found; a truthy return
     value ends the search early (still counted as completed).
+    Refuses n^m > GRAPH_VERTEX_LIMIT before building its tables.
     """
+    _check_vertex_limit(params, GRAPH_VERTEX_LIMIT, "seed search")
     n, m = params.n, params.m
     total = params.vertex_count
     base = n ** (m - 1)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import SimpleGraph, complete_multipartite
+from .graphs import GRAPH_VERTEX_LIMIT, SimpleGraph, complete_multipartite
 
 __all__ = ["TuranParams", "turan_params", "turan_max_edges", "turan_extremal_graph"]
 
@@ -51,5 +51,9 @@ def turan_extremal_graph(n: int, k: int) -> SimpleGraph:
     """The complete k-partite graph achieving turan_max_edges(n, k).
 
     Larger parts come first: r parts of size h+1, then k-r of size h.
+    Refuses n > GRAPH_VERTEX_LIMIT before allocating.
     """
-    return complete_multipartite(turan_params(n, k).part_sizes())
+    p = turan_params(n, k)
+    if n > GRAPH_VERTEX_LIMIT:
+        raise ValueError(f"graph limit: n must be <= {GRAPH_VERTEX_LIMIT}")
+    return complete_multipartite(p.part_sizes())

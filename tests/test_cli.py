@@ -137,6 +137,14 @@ class TestTuran:
         assert code == 2
         assert "error:" in err
 
+    def test_huge_graph_refused(self, capsys):
+        for command in ("graph", "verify"):
+            code, out, err = run(capsys, "turan", command, "100000000", "3")
+            assert (code, out) == (2, ""), command
+            assert "graph limit" in err
+        code, out, _ = run(capsys, "turan", "bound", "100000000", "3")
+        assert (code, out.strip()) == (0, "3333333333333333")
+
 
 class TestDebruijn:
     def test_martin(self, capsys):
@@ -303,6 +311,11 @@ class TestSeedSearch:
         )
         assert code == 2
         assert "seeds.jsonl:2: not valid JSON" in err
+
+    def test_huge_graph_refused(self, capsys):
+        code, out, err = run(capsys, "debruijn", "seed-search", "3", "40", "--budget", "1")
+        assert (code, out) == (2, "")
+        assert "seed search limit" in err
 
     def test_budget_exit_code(self, capsys):
         code, _, err = run(

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordo.graphio import (
     coloring_to_dot,
@@ -18,7 +21,7 @@ from ordo.graphio import (
     write_digraph,
     write_graph,
 )
-from ordo.graphs import Digraph, EdgeColoring, SimpleGraph, random_tournament
+from ordo.graphs import Digraph, EdgeColoring, SimpleGraph, Tournament, random_tournament
 
 
 class TestGraphText:
@@ -70,6 +73,22 @@ class TestDigraphText:
             again = read_digraph(write_digraph(d))
             assert again.vertex_count == d.vertex_count
             assert again.arcs == d.arcs
+
+    @settings(max_examples=200, derandomize=True, database=None)
+    @given(st.integers(0, 12).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << n * (n - 1) // 2) - 1))
+    ))
+    def test_tournament_from_rows_round_trip(self, drawn):
+        n, mask = drawn
+        rows = [0] * n
+        for i, (u, v) in enumerate(itertools.combinations(range(n), 2)):
+            if mask >> i & 1:
+                rows[u] |= 1 << v
+            else:
+                rows[v] |= 1 << u
+        d = Tournament(Digraph.from_rows(rows)).digraph
+        again = read_digraph(write_digraph(d))
+        assert (again.vertex_count, again.out_adj, again.in_adj) == (n, d.out_adj, d.in_adj)
 
     def test_arrow_syntax(self):
         d = read_digraph("digraph n 3\n1 -> 2\n3 -> 3\n")

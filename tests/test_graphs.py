@@ -103,6 +103,15 @@ class TestMultipartite:
         with pytest.raises(ValueError):
             complete_multipartite([2, 0])
 
+    def test_rows_match_pair_list_construction(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            sizes = [rng.randint(1, 6) for _ in range(rng.randint(1, 6))]
+            part = [i for i, size in enumerate(sizes) for _ in range(size)]
+            n = len(part)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]]
+            assert complete_multipartite(sizes).adj == SimpleGraph(n, pairs).adj, sizes
+
 
 def _brute_force_clique(g: SimpleGraph, size: int) -> tuple[int, ...] | None:
     for combo in itertools.combinations(range(g.vertex_count), size):
@@ -183,6 +192,26 @@ class TestDigraph:
     def test_range(self):
         with pytest.raises(ValueError):
             Digraph(2, [(0, 2)])
+
+    def test_from_rows_matches_arc_list(self):
+        rng = random.Random(14)
+        for n in range(12):
+            for _ in range(40):
+                rows = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(n)]
+                arcs = [(u, v) for u in range(n) for v in range(n) if rows[u] >> v & 1]
+                d, e = Digraph.from_rows(rows), Digraph(n, arcs)
+                assert (d.vertex_count, d.out_adj, d.in_adj) == (n, e.out_adj, e.in_adj)
+                assert d == e and hash(d) == hash(e)
+        # loops and the full matrix, across byte boundaries
+        for n in (1, 7, 8, 9, 17):
+            full = Digraph.from_rows([(1 << n) - 1] * n)
+            assert full.in_adj == full.out_adj and full.loops() == frozenset(range(n))
+
+    def test_from_rows_rejects_out_of_range_bits(self):
+        for rows in ([0b100, 0], [0, 1 << 5], [-1, 0], [2]):
+            with pytest.raises(ValueError, match="outside"):
+                Digraph.from_rows(rows)
+        assert Digraph.from_rows([]) == Digraph(0)
 
 
 def _random_pairs(n: int, rng: random.Random, loops: bool) -> list[tuple[int, int]]:
@@ -286,11 +315,40 @@ class TestTournament:
         b = random_tournament(9, random.Random(42)).arcs
         assert a == b
 
+    def test_random_matches_arc_list_construction(self):
+        # the same tournament from the same getrandbits stream, which is
+        # left in the same state
+        for seed in range(30):
+            for n in (0, 1, 2, 3, 5, 8, 9, 16, 17, 40):
+                rng, old_rng = random.Random(seed), random.Random(seed)
+                d = random_tournament(n, rng).digraph
+                old = _arc_list_random_tournament(n, old_rng).digraph
+                assert (d.out_adj, d.in_adj) == (old.out_adj, old.in_adj), (seed, n)
+                assert rng.random() == old_rng.random()
+
     def test_all_tournaments(self):
         seen = {t.arcs for t in all_tournaments(3)}
         assert len(seen) == 8
         assert all(len(arcs) == 3 for arcs in seen)
         assert [t.arcs for t in all_tournaments(0)] == [frozenset()]
+
+    def test_all_tournaments_in_bitmask_order(self):
+        for n in range(5):
+            pairs = list(itertools.combinations(range(n), 2))
+            expected = [
+                frozenset((u, v) if mask >> i & 1 else (v, u) for i, (u, v) in enumerate(pairs))
+                for mask in range(1 << len(pairs))
+            ]
+            assert [t.arcs for t in all_tournaments(n)] == expected
+
+
+def _arc_list_random_tournament(n: int, rng: random.Random) -> Tournament:
+    """The arc-list construction random_tournament replaced."""
+    arcs = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            arcs.append((u, v) if rng.getrandbits(1) else (v, u))
+    return Tournament.from_arcs(n, arcs)
 
 
 class TestEdgeColoring:

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from ordo.graphs import SimpleGraph, complete_multipartite
 from ordo.report import (
     _REGISTRY,
     STATUS_FLAGGED,
@@ -16,6 +17,7 @@ from ordo.report import (
     Report,
     ReportEntry,
     _entry,
+    _is_complete_multipartite,
     _run_one,
     _selected_claims,
     render_table,
@@ -64,6 +66,19 @@ class TestRunOne:
         assert entry.status == STATUS_FLAGGED
         assert entry.expected != entry.computed
         assert "12635683568857645056" in entry.computed
+
+
+class TestStructureCheck:
+    def test_complete_multipartite_check(self):
+        g = complete_multipartite([3, 2, 2])
+        assert _is_complete_multipartite(g, [3, 2, 2])
+        assert not _is_complete_multipartite(g, [2, 3, 2])
+        assert not _is_complete_multipartite(g, [3, 2, 1])
+        assert not _is_complete_multipartite(g, [3, 2, 2, 1])
+        missing = SimpleGraph(7, g.edges - {(0, 3)})
+        assert not _is_complete_multipartite(missing, [3, 2, 2])
+        extra = SimpleGraph(7, g.edges | {(0, 1)})
+        assert not _is_complete_multipartite(extra, [3, 2, 2])
 
 
 class TestReportObject:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -157,6 +158,20 @@ class TestBudgets:
         assert seen == [SEEDS_3_2[0]]
         assert len(result.seeds) == 1
         assert result.completed
+
+
+class TestSizeGuard:
+    def test_refused_before_building_tables(self):
+        # the orbit and step tables of B(3, 40) would need 3^40 entries
+        tracemalloc.start()
+        try:
+            for params in (DBParams(3, 40), DBParams(2, 15), DBParams(36, 3), DBParams(2, 10**9)):
+                with pytest.raises(ValueError, match="seed search limit"):
+                    rotation_seed_search(params, time_budget=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestParityPins:

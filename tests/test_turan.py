@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import pytest
 
-from ordo.graphs import find_clique, max_edges_without_clique_oracle
+from ordo.graphs import GRAPH_VERTEX_LIMIT, find_clique, max_edges_without_clique_oracle
 from ordo.turan import (
     turan_extremal_graph,
     turan_max_edges,
@@ -92,3 +93,17 @@ class TestExtremalGraph:
         g = turan_extremal_graph(5, 2)
         assert g.edge_count == 6  # K_{3,2}
         assert find_clique(g, 3) is None
+
+    def test_huge_graph_refused_before_allocating(self):
+        # K_{n/3,n/3,n/3} at n = 10^8 has 3.3e15 edges to write out
+        tracemalloc.start()
+        try:
+            for n, k in ((100_000_000, 3), (GRAPH_VERTEX_LIMIT + 1, 2)):
+                with pytest.raises(ValueError, match="graph limit"):
+                    turan_extremal_graph(n, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        # the closed form has no limit
+        assert turan_max_edges(100_000_000, 3) == 3333333333333333
