@@ -11,6 +11,8 @@ import argparse
 import os
 import sys
 import tempfile
+from itertools import islice
+from typing import Iterator
 
 from . import debruijn as db
 from . import graphio
@@ -142,6 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_lines(lines: Iterator[str]) -> None:
+    # a few thousand lines per write: a large graph's text is never held
+    # whole, and the writes cost less than one per line
+    while chunk := "".join(islice(lines, 4096)):
+        sys.stdout.write(chunk)
+
+
 def _cmd_redei(args: argparse.Namespace) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         digraph = graphio.read_digraph(fh.read())
@@ -188,7 +197,7 @@ def _cmd_ramsey(args: argparse.Namespace) -> int:
         return 0
     if args.ramsey_command == "andrasfai":
         g = ramsey.andrasfai_graph(args.k)
-        sys.stdout.write(graphio.graph_to_dot(g) if args.dot else graphio.write_graph(g))
+        _write_lines(graphio._graph_dot_lines(g) if args.dot else graphio._graph_lines(g))
         return 0
     if args.ramsey_command == "k17":
         col = ramsey.k17_mod3_coloring()
@@ -206,7 +215,7 @@ def _cmd_turan(args: argparse.Namespace) -> int:
         return 0
     if args.turan_command == "graph":
         g = turan.turan_extremal_graph(n, k)
-        sys.stdout.write(graphio.graph_to_dot(g) if args.dot else graphio.write_graph(g))
+        _write_lines(graphio._graph_dot_lines(g) if args.dot else graphio._graph_lines(g))
         return 0
     if args.turan_command == "verify":
         bound = turan.turan_max_edges(n, k)
@@ -237,11 +246,11 @@ def _cmd_debruijn(args: argparse.Namespace) -> int:
         elif args.dot:
             d = db.de_bruijn_graph(params)
             names = [db.word_of_vertex(v, params) for v in range(d.vertex_count)]
-            sys.stdout.write(
-                graphio.digraph_to_dot(d, names=names, title=f"B_{params.n}_{params.m}")
+            _write_lines(
+                graphio._digraph_dot_lines(d, names=names, title=f"B_{params.n}_{params.m}")
             )
         else:
-            sys.stdout.write(graphio.write_digraph(db.de_bruijn_graph(params)))
+            _write_lines(graphio._digraph_lines(db.de_bruijn_graph(params)))
         return 0
     if cmd == "martin":
         print(db.word_encode(db.martin(db.DBParams(args.n, args.m))))

@@ -19,7 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .graphs import GRAPH_VERTEX_LIMIT, Digraph, SimpleGraph, _clique_in
 from .graphio import graph_to_dot
@@ -56,6 +59,9 @@ ENUMERATION_CYCLE_LIMIT = 10**6
 COUNT_DIGIT_LIMIT = 4300  # the interpreter's default int-to-str digit limit
 DISJOINTNESS_CYCLE_LIMIT = 3000
 MARTIN_VERTEX_LIMIT = 2**20
+# words the census validates per numpy pass; larger batches buy little
+# speed and raise peak memory
+CENSUS_BATCH = 512
 
 
 @dataclass(frozen=True)
@@ -88,7 +94,9 @@ class DeBruijnWord:
 
     letters has length n^m, starts with the 0^m block, and every
     length-m window (cyclically) is distinct; all three are enforced
-    on construction.
+    on construction.  The census checks the same conditions on a batch
+    of words at once (`_checked_words`) and builds the words of a batch
+    that passes without repeating the check word by word.
     """
 
     params: DBParams
@@ -128,6 +136,54 @@ class DeBruijnWord:
 
     def __str__(self) -> str:
         return word_encode(self)
+
+
+def _checked_words(params: DBParams, rows: list[tuple[int, ...]]) -> list[DeBruijnWord]:
+    """DeBruijnWord(params, t) for every t in rows, validated in one numpy pass.
+
+    Runs the constructor's checks on the whole batch: length, letter
+    range, the 0^m start and window distinctness, the last as the OR of
+    1 << window down each column of the transposed batch, which is
+    2^(n^m) - 1 exactly when the word's n^m windows are distinct.  Needs
+    n^m < 64 so that a word's window bits fit one int64, as the
+    enumeration guard ensures.  When any row fails, the batch goes
+    through the checking constructor, which raises its usual error for
+    the first bad row.
+    """
+    n, m = params.n, params.m
+    total = params.vertex_count
+    assert total < 64, "window bits must fit an int64"
+    if _batch_is_valid(rows, n, m, total):
+        words = []
+        new, set_field = object.__new__, object.__setattr__
+        for letters in rows:
+            word = new(DeBruijnWord)
+            set_field(word, "params", params)
+            set_field(word, "letters", letters)
+            words.append(word)
+        return words
+    return [DeBruijnWord(params, t) for t in rows]
+
+
+def _batch_is_valid(rows: list[tuple[int, ...]], n: int, m: int, total: int) -> bool:
+    if set(map(len, rows)) != {total}:
+        return False
+    try:
+        flat = bytes(chain.from_iterable(rows))
+    except (TypeError, ValueError):  # a letter that is no byte value
+        return False
+    letters = np.frombuffer(flat, dtype=np.uint8).reshape(-1, total)
+    # in range, every window is below n^m < 64, a defined shift below
+    if (letters >= n).any() or letters[:, :m].any():
+        return False
+    # one column per word: row i holds the letters at position i, so the
+    # window at i is the base-n number read down rows i..i+m-1, cyclically
+    column = letters.T.astype(np.int64)
+    windows = column
+    for j in range(1, m):
+        windows = windows * n + np.roll(column, -j, axis=0)
+    seen = np.bitwise_or.reduce(np.left_shift(1, windows), axis=0)
+    return bool((seen == (1 << total) - 1).all())
 
 
 def word_encode(word: DeBruijnWord) -> str:
@@ -317,7 +373,18 @@ def enumerate_hamiltonian_cycles(params: DBParams) -> Iterator[DeBruijnWord]:
     max(1, n^m // 3) letters of every cycle therefore come from a memo
     keyed by that pair, built in ascending letter order so that the
     words still come out sorted.
+
+    Every word is validated as DeBruijnWord's constructor would, but
+    CENSUS_BATCH words at a time in one numpy pass (`_checked_words`),
+    so the words come out in batches of that size.
     """
+    letters = _cycle_letters(params)
+    while batch := list(islice(letters, CENSUS_BATCH)):
+        yield from _checked_words(params, batch)
+
+
+def _cycle_letters(params: DBParams) -> Iterator[tuple[int, ...]]:
+    # the letter tuples of enumerate_hamiltonian_cycles, not yet validated
     _check_enumeration_guard(params)
     n, m = params.n, params.m
     total = params.vertex_count
@@ -353,7 +420,7 @@ def enumerate_hamiltonian_cycles(params: DBParams) -> Iterator[DeBruijnWord]:
     cut = total - 1 - max(1, total // 3)
     if cut <= 0:
         for t in tails(1, 0):
-            yield DeBruijnWord(params, (head + t)[:total])
+            yield (head + t)[:total]
         return
     visited = 1
     syms: list[int] = []
@@ -372,7 +439,7 @@ def enumerate_hamiltonian_cycles(params: DBParams) -> Iterator[DeBruijnWord]:
         if len(syms) + 1 == cut:
             prefix = head + tuple(syms) + (s,)
             for t in tails(visited | 1 << w, w % base):
-                yield DeBruijnWord(params, (prefix + t)[:total])
+                yield (prefix + t)[:total]
             continue
         saved.append(visited)
         visited |= 1 << w

@@ -76,11 +76,15 @@ def read_graph(text: str) -> SimpleGraph:
     return SimpleGraph(n, edges)
 
 
-def write_graph(g: SimpleGraph) -> str:
-    lines = [f"n {g.vertex_count}"]
+def _graph_lines(g: SimpleGraph) -> Iterator[str]:
+    """The lines of write_graph, each with its newline, one at a time."""
+    yield f"n {g.vertex_count}\n"
     for u, v in _sorted_edges(g):
-        lines.append(f"{u + 1} {v + 1}")
-    return "\n".join(lines) + "\n"
+        yield f"{u + 1} {v + 1}\n"
+
+
+def write_graph(g: SimpleGraph) -> str:
+    return "".join(_graph_lines(g))
 
 
 def read_digraph(text: str) -> Digraph:
@@ -96,11 +100,15 @@ def read_digraph(text: str) -> Digraph:
     return Digraph(n, arcs)
 
 
-def write_digraph(d: Digraph) -> str:
-    lines = [f"digraph n {d.vertex_count}"]
+def _digraph_lines(d: Digraph) -> Iterator[str]:
+    """The lines of write_digraph, each with its newline, one at a time."""
+    yield f"digraph n {d.vertex_count}\n"
     for u, v in _sorted_arcs(d):
-        lines.append(f"{u + 1} -> {v + 1}")
-    return "\n".join(lines) + "\n"
+        yield f"{u + 1} -> {v + 1}\n"
+
+
+def write_digraph(d: Digraph) -> str:
+    return "".join(_digraph_lines(d))
 
 
 def read_coloring(text: str) -> EdgeColoring:
@@ -154,15 +162,43 @@ def _node_names(n: int, names: Sequence[str] | None) -> list[str]:
     return list(names)
 
 
-def graph_to_dot(g: SimpleGraph, names: Sequence[str] | None = None, title: str = "G") -> str:
+def _graph_dot_lines(
+    g: SimpleGraph, names: Sequence[str] | None = None, title: str = "G"
+) -> Iterator[str]:
+    """The lines of graph_to_dot, each with its newline, one at a time."""
     ids = _node_names(g.vertex_count, names)
-    lines = [f"graph {title} {{"]
+    yield f"graph {title} {{\n"
     for v in range(g.vertex_count):
-        lines.append(f'  "{ids[v]}";')
+        yield f'  "{ids[v]}";\n'
     for u, v in _sorted_edges(g):
-        lines.append(f'  "{ids[u]}" -- "{ids[v]}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  "{ids[u]}" -- "{ids[v]}";\n'
+    yield "}\n"
+
+
+def graph_to_dot(g: SimpleGraph, names: Sequence[str] | None = None, title: str = "G") -> str:
+    return "".join(_graph_dot_lines(g, names, title))
+
+
+def _digraph_dot_lines(
+    d: Digraph,
+    names: Sequence[str] | None = None,
+    title: str = "G",
+    highlight: Iterable[tuple[int, int]] = (),
+) -> Iterator[str]:
+    """The lines of digraph_to_dot, each with its newline, one at a time."""
+    ids = _node_names(d.vertex_count, names)
+    n = d.vertex_count
+    marked = set(highlight)
+    for u, v in marked:
+        if not (0 <= u < n and 0 <= v < n and d.has_arc(u, v)):
+            raise ValueError(f"cannot highlight missing arc ({u}, {v})")
+    yield f"digraph {title} {{\n"
+    for v in range(d.vertex_count):
+        yield f'  "{ids[v]}";\n'
+    for u, v in _sorted_arcs(d):
+        attr = " [color=red penwidth=2]" if (u, v) in marked else ""
+        yield f'  "{ids[u]}" -> "{ids[v]}"{attr};\n'
+    yield "}\n"
 
 
 def digraph_to_dot(
@@ -172,20 +208,7 @@ def digraph_to_dot(
     highlight: Iterable[tuple[int, int]] = (),
 ) -> str:
     """Highlighted arcs, if any, are drawn red and thick."""
-    ids = _node_names(d.vertex_count, names)
-    n = d.vertex_count
-    marked = set(highlight)
-    for u, v in marked:
-        if not (0 <= u < n and 0 <= v < n and d.has_arc(u, v)):
-            raise ValueError(f"cannot highlight missing arc ({u}, {v})")
-    lines = [f"digraph {title} {{"]
-    for v in range(d.vertex_count):
-        lines.append(f'  "{ids[v]}";')
-    for u, v in _sorted_arcs(d):
-        attr = " [color=red penwidth=2]" if (u, v) in marked else ""
-        lines.append(f'  "{ids[u]}" -> "{ids[v]}"{attr};')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(_digraph_dot_lines(d, names, title, highlight))
 
 
 def coloring_to_dot(col: EdgeColoring, names: Sequence[str] | None = None, title: str = "G") -> str:

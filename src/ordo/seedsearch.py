@@ -122,15 +122,19 @@ def rotation_seed_search(
     n, m = params.n, params.m
     total = params.vertex_count
     base = n ** (m - 1)
-    orbit_masks = [sum(1 << x for x in set(orbit)) for orbit in _arc_orbits(params)]
-    # per vertex, one step per letter: (letter, successor, arc id, orbit mask)
-    steps = [
-        tuple(
-            (s, (v % base) * n + s, v * n + s, orbit_masks[v * n + s])
-            for s in range(n)
-        )
-        for v in range(total)
-    ]
+    orbits = _arc_orbits(params)
+
+    # the search keeps one state bitmask: bit v for each vertex on the
+    # path, bit total + a for each arc a of a committed orbit.  Per
+    # vertex, one step per letter: (letter, successor, the state bits
+    # that block the step, the state bits it sets)
+    def step(v: int, s: int) -> tuple[int, int, int, int]:
+        w = (v % base) * n + s
+        aid = v * n + s
+        add = sum(1 << (total + x) for x in set(orbits[aid]))
+        return s, w, 1 << w | 1 << (total + aid), 1 << w | add
+
+    steps = [tuple(step(v, s) for s in range(n)) for v in range(total)]
     bound: list[int] | None = None
     if resume_after is not None:
         if resume_after.params != params:
@@ -146,33 +150,34 @@ def rotation_seed_search(
         return SeedSearchResult(params, seeds, nodes, False, True)
     out_of_budget = False
 
-    # bitmasks of the vertices on the path and of the arcs of every
-    # committed orbit; tight while the path equals the resume bound's
-    # prefix, in which case the top frame's steps start at its letter
-    visited = 1
-    used = 0
+    # tight while the path equals the resume bound's prefix, in which
+    # case the top frame's steps start at its letter
+    state = 1
     tight = bound is not None
     syms: list[int] = []
-    saved: list[tuple[int, int, bool]] = []  # (visited, used, tight) below each frame
+    saved: list[tuple[int, bool]] = []  # (state, tight) below each frame
     stack = [iter(steps[0][bound[0]:] if tight else steps[0])]
 
     while stack:
-        for s, w, aid, orbit in stack[-1]:
-            if not (visited >> w & 1 or used >> aid & 1):
+        for s, w, block, add in stack[-1]:
+            if not state & block:
                 break
         else:
             stack.pop()
             if saved:
-                visited, used, tight = saved.pop()
+                state, tight = saved.pop()
                 syms.pop()
             continue
         nodes += 1
         depth = len(syms)  # index of the letter s in the extension sequence
         step_tight = tight and s == bound[depth]
         if depth + 2 == total:
-            # last vertex; the closing arc back to 0^m appends letter 0,
-            # and the resume word itself was already reported
-            if w % base == 0 and not used >> (w * n) & 1 and not step_tight:
+            # last vertex.  The closing arc w -> 0^m appends letter 0, so
+            # it exists when w ends in m-1 zeros.  It is always free: sigma
+            # fixes the letter 0, so every arc of its orbit appends 0 to a
+            # word ending in m-1 zeros, leading into 0^m, which no path arc
+            # does.  The resume word itself was already reported.
+            if w % base == 0 and not step_tight:
                 letters = ((0,) * m + tuple(syms) + (s,))[:total]
                 seed = DeBruijnWord(params, letters)
                 assert pairwise_arc_disjoint(rotation_family(seed))
@@ -181,9 +186,8 @@ def rotation_seed_search(
                 if stop or not find_all:
                     return SeedSearchResult(params, seeds, nodes, True, False)
         else:
-            saved.append((visited, used, tight))
-            visited |= 1 << w
-            used |= orbit
+            saved.append((state, tight))
+            state |= add
             tight = step_tight
             syms.append(s)
             stack.append(iter(steps[w][bound[depth + 1]:] if tight else steps[w]))

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import io
 import json
+import sys
+import tracemalloc
 
 import pytest
 
@@ -11,6 +14,22 @@ from ordo.graphio import write_coloring, write_digraph
 from ordo.graphs import Tournament
 from ordo.ramsey import k17_mod3_coloring
 from ordo.seedsearch import read_seed_cache
+
+
+class LineSink(io.TextIOBase):
+    """A text stream that keeps only a count of what it was sent."""
+
+    def __init__(self) -> None:
+        self.chars = 0
+        self.lines = 0
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, text: str) -> int:
+        self.chars += len(text)
+        self.lines += text.count("\n")
+        return len(text)
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -136,6 +155,21 @@ class TestTuran:
         code, _, err = run(capsys, "turan", "bound", "3", "9")
         assert code == 2
         assert "error:" in err
+
+    def test_large_graph_is_streamed(self, monkeypatch):
+        # K_{256,256} has 65,536 edges; held as one string per edge its
+        # text takes about 5 MB, written line by line it needs no buffer
+        sink = LineSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["turan", "graph", "512", "2"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.lines == 1 + 256 * 256
+        assert peak < 1_000_000
 
     def test_huge_graph_refused(self, capsys):
         for command in ("graph", "verify"):

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordo import debruijn
 from ordo.debruijn import (
+    ALPHABET,
     ENUMERATION_CYCLE_LIMIT,
     ENUMERATION_VERTEX_LIMIT,
     DBParams,
@@ -93,6 +97,54 @@ def lyndon_cycle(n: int, m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+# small graphs whose whole census the properties below draw words from
+CENSUS_PARAMS = (DBParams(2, 3), DBParams(2, 4), DBParams(3, 2), DBParams(4, 2), DBParams(6, 1))
+
+
+@functools.lru_cache(maxsize=None)
+def census(params: DBParams) -> list[DeBruijnWord]:
+    return list(enumerate_hamiltonian_cycles(params))
+
+
+@st.composite
+def census_words(draw, params: DBParams | None = None) -> DeBruijnWord:
+    words = census(params or draw(st.sampled_from(CENSUS_PARAMS)))
+    return words[draw(st.integers(0, len(words) - 1))]
+
+
+@st.composite
+def near_words(draw, params: DBParams | None = None) -> tuple[DBParams, tuple[int, ...]]:
+    """A census word's letters, as they are or after one edit: a letter
+    set to any value from -1 to n, two letters swapped, a letter dropped
+    or inserted, or the word rotated.  Most edits make the word invalid."""
+    word = draw(census_words(params))
+    n, total = word.params.n, word.params.vertex_count
+    letters = list(word.letters)
+    i = draw(st.integers(0, total - 1))
+    j = draw(st.integers(0, total - 1))
+    edit = draw(st.sampled_from(("keep", "set", "swap", "drop", "insert", "rotate")))
+    if edit == "set":
+        letters[i] = draw(st.integers(-1, n))
+    elif edit == "swap":
+        letters[i], letters[j] = letters[j], letters[i]
+    elif edit == "drop":
+        del letters[i]
+    elif edit == "insert":
+        letters.insert(i, draw(st.integers(0, n - 1)))
+    elif edit == "rotate":
+        letters = letters[i:] + letters[:i]
+    return word.params, tuple(letters)
+
+
+def constructor_error(params: DBParams, letters: tuple[int, ...]) -> str | None:
+    """The checking constructor's error message, or None if it accepts."""
+    try:
+        DeBruijnWord(params, letters)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def enumerable_params() -> list[DBParams]:
     """Every B(n, m) the enumeration guard admits."""
     out = []
@@ -140,6 +192,32 @@ class TestWordValidation:
         with pytest.raises(ValueError, match="window repeated"):
             DeBruijnWord(DBParams(2, 3), (0, 0, 0, 1, 0, 0, 1, 1))
 
+    @settings(max_examples=500, derandomize=True, database=None)
+    @given(near_words())
+    def test_batch_check_agrees_with_the_constructor(self, drawn):
+        params, letters = drawn
+        accepted = debruijn._batch_is_valid([letters], params.n, params.m, params.vertex_count)
+        assert accepted is (constructor_error(params, letters) is None)
+
+    @settings(max_examples=200, derandomize=True, database=None)
+    @given(st.data())
+    def test_mixed_batch_raises_the_constructors_error(self, data):
+        params = data.draw(st.sampled_from(CENSUS_PARAMS))
+        batch = [w.letters for w in data.draw(st.lists(census_words(params), max_size=30))]
+        bad = data.draw(
+            st.lists(
+                near_words(params).filter(lambda d: constructor_error(*d) is not None),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        for _, letters in bad:
+            batch.insert(data.draw(st.integers(0, len(batch))), letters)
+        first_bad = next(t for t in batch if constructor_error(params, t) is not None)
+        with pytest.raises(ValueError) as caught:
+            debruijn._checked_words(params, batch)
+        assert str(caught.value) == constructor_error(params, first_bad)
+
     def test_vertex_cycle_visits_everything_once(self):
         for text in REFERENCE_CYCLES_3_2:
             cycle = word_decode(text, DBParams(3, 2)).vertex_cycle()
@@ -163,6 +241,15 @@ class TestEncodeDecode:
         rotated = cyclic[3:] + cyclic[:3]
         text = "".join(map(str, rotated + rotated[:2]))
         assert word_encode(word_decode(text, p)) == word_encode(w)
+
+    @settings(max_examples=300, derandomize=True, database=None)
+    @given(census_words(), st.integers(0, 10**6))
+    def test_decode_of_any_rotation_is_canonical(self, word, shift):
+        m, total = word.params.m, word.params.vertex_count
+        r = shift % total
+        cyclic = word.letters[r:] + word.letters[:r]
+        text = "".join(ALPHABET[c] for c in cyclic + cyclic[: m - 1])
+        assert word_decode(text, word.params) == word
 
     def test_decode_errors(self):
         p = DBParams(2, 2)
@@ -341,8 +428,8 @@ class TestCensus:
             assert count == count_hamiltonian_cycles(p)
 
     def test_three_three_census(self):
-        # each word is validated on construction, so a strictly rising
-        # stream of the closed-form length is the full set, in order
+        # each word is validated before it is yielded, so a strictly
+        # rising stream of the closed-form length is the full set, in order
         p = DBParams(3, 3)
         count = 0
         first = prev = None
@@ -356,6 +443,17 @@ class TestCensus:
         assert count == 373_248 == count_hamiltonian_cycles(p)
         assert first == lyndon_cycle(3, 3)
         assert prev == martin(p).letters
+
+    def test_every_word_is_validated(self, monkeypatch):
+        # a kernel fault is caught in whichever batch it lands: the
+        # first, a middle one or the short last one
+        p = DBParams(4, 2)
+        good = [w.letters for w in census(p)]
+        for at in (0, 700, len(good)):
+            rows = good[:at] + [(0,) * 16] + good[at:]
+            monkeypatch.setattr(debruijn, "_cycle_letters", lambda params, rows=rows: iter(rows))
+            with pytest.raises(ValueError, match="window repeated at position 1"):
+                list(enumerate_hamiltonian_cycles(p))
 
     def test_guards(self):
         with pytest.raises(ValueError, match="n\\^m must be"):

@@ -38,6 +38,16 @@ class TestGraphText:
             g = SimpleGraph(n, edges)
             assert read_graph(write_graph(g)) == g
 
+    @settings(max_examples=200, derandomize=True, database=None)
+    @given(st.integers(0, 14).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << n * (n - 1) // 2) - 1))
+    ))
+    def test_edge_mask_round_trip(self, drawn):
+        n, mask = drawn
+        pairs = itertools.combinations(range(n), 2)
+        g = SimpleGraph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+        assert read_graph(write_graph(g)) == g
+
     def test_comments_and_blank_lines(self):
         text = "# a triangle\nn 3\n\n1 2\n2 3  # back edge\n1 3\n"
         g = read_graph(text)
@@ -110,6 +120,16 @@ class TestColoringText:
                 n, colors, lambda u, v: (u * 7 + v) % colors
             )
             assert read_coloring(write_coloring(col)) == col
+
+    @settings(max_examples=200, derandomize=True, database=None)
+    @given(st.data())
+    def test_random_coloring_round_trip(self, data):
+        n = data.draw(st.integers(2, 10))
+        colors = data.draw(st.integers(1, 4))
+        pairs = n * (n - 1) // 2
+        pair_colors = data.draw(st.lists(st.integers(0, colors - 1), min_size=pairs, max_size=pairs))
+        col = EdgeColoring(n, colors, pair_colors)
+        assert read_coloring(write_coloring(col)) == col
 
     def test_double_coloring_detected(self):
         with pytest.raises(ValueError, match="colored twice"):

@@ -9,6 +9,7 @@ import pytest
 
 from ordo.debruijn import (
     DBParams,
+    enumerate_hamiltonian_cycles,
     martin,
     pairwise_arc_disjoint,
     rotation_family,
@@ -60,6 +61,21 @@ class TestFullSearch:
             "0001011100",
             "0001110100",
         ]
+
+
+class TestAgainstTheCensus:
+    def test_full_trees_are_the_disjoint_census_words(self):
+        # the two DFS kernels share only the successor rule: a seed is a
+        # census word whose rotation family is pairwise arc-disjoint
+        for (n, m), count in (((3, 2), 4), ((4, 2), 288)):
+            p = DBParams(n, m)
+            expected = [
+                w for w in enumerate_hamiltonian_cycles(p)
+                if pairwise_arc_disjoint(rotation_family(w))
+            ]
+            result = rotation_seed_search(p, find_all=True)
+            assert result.seeds == expected
+            assert len(expected) == count
 
 
 class TestFirstSeed:
