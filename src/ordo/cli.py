@@ -138,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     tier.add_argument("--long", action="store_true", help="include the stretch searches")
     p.add_argument("--budget", type=float, metavar="SECONDS", help="skip entries once exceeded")
     p.add_argument("--json", metavar="FILE", help="also write the JSON report")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     p.add_argument("--seed", type=int, default=0, help="seed for the randomized sweeps (default 0)")
 
     return parser
@@ -325,7 +324,7 @@ def _cmd_seed_search(args: argparse.Namespace) -> int:
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     tier = "quick" if args.quick else "long" if args.long else "default"
-    report = reproduce_all(tier=tier, budget=args.budget, seed=args.seed, jobs=args.jobs)
+    report = reproduce_all(tier=tier, budget=args.budget, seed=args.seed)
     sys.stdout.write(render_table(report))
     if args.json:
         _write_file_atomic(args.json, report.to_json())

@@ -9,16 +9,16 @@ form and the (3,4) cycle count); they are reported as
 
 Entries are grouped in tiers: "quick" entries always run, "default"
 adds the minute-scale recomputations, and "long" adds the stretch
-searches.  Results come out as a fixed-width table and as JSON that is
-byte-identical between runs with the same flags, apart from the
-timestamp and the runtime fields.
+searches.  Everything runs in one process, in registry order, and
+reads no environment: a run starts from scratch every time.  Results
+come out as a fixed-width table and as JSON that is byte-identical
+between runs with the same flags, apart from the timestamp and the
+runtime fields.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
-import os
 import random
 import time
 from dataclasses import dataclass
@@ -69,12 +69,10 @@ from .redei import (
     is_hamiltonian_path,
     redei_hamiltonian_path,
 )
-from .seedsearch import append_seed_cache, cached_seeds, rotation_seed_search
+from .seedsearch import rotation_seed_search
 from .turan import turan_extremal_graph, turan_max_edges, turan_params
 
-__all__ = ["ReportEntry", "Report", "reproduce_all", "render_table", "CACHE_DIR_ENV"]
-
-CACHE_DIR_ENV = "ORDO_CACHE_DIR"
+__all__ = ["ReportEntry", "Report", "reproduce_all", "render_table"]
 
 TIERS = ("quick", "default", "long")
 
@@ -394,12 +392,8 @@ def _disjoint_2_3(seed: int) -> tuple[str, str]:
 # --- seed searches --------------------------------------------------------
 
 
-def _cache_path(params: DBParams) -> str | None:
-    root = os.environ.get(CACHE_DIR_ENV)
-    if not root:
-        return None
-    os.makedirs(root, exist_ok=True)
-    return os.path.join(root, f"seeds_{params.n}_{params.m}.jsonl")
+# wall-clock seconds for the (7,2) stretch entry
+STRETCH_TIME_BUDGET = 900
 
 
 def _full_tree_search(n: int, m: int, expected_total: int) -> tuple[str, str]:
@@ -427,11 +421,19 @@ def _seeds_4_2(seed: int) -> tuple[str, str]:
     return _full_tree_search(4, 2, 288)
 
 
-def _first_seed_search(n: int, m: int) -> tuple[str, str]:
+def _first_seed_search(
+    n: int, m: int, time_budget: float | None = None
+) -> tuple[str, str] | tuple[str, str, str]:
     params = DBParams(n, m)
     listed = REFERENCE_SEEDS[(n, m)][0]
     expected = "the reference seed, found first"
-    result = rotation_seed_search(params, find_all=False)
+    result = rotation_seed_search(params, find_all=False, time_budget=time_budget)
+    if result.budget_exhausted:
+        return (
+            expected,
+            f"budget exhausted after {result.nodes_explored} nodes; not refuted",
+            STATUS_SKIPPED,
+        )
     if not result.seeds:
         return expected, "no seed found"
     first = word_encode(result.seeds[0])
@@ -486,44 +488,9 @@ def _seed_valid_7_2(seed: int) -> tuple[str, str]:
 
 @_entry("seed search (7,2), stretch", "long")
 def _seeds_7_2(seed: int) -> tuple[str, str] | tuple[str, str, str]:
-    # lexicographic frontier is far out; cache progress is seed-based,
-    # so an unfinished run can only report how far it got
-    params = DBParams(7, 2)
-    listed = REFERENCE_SEEDS[(7, 2)][0]
-    expected = "the reference seed found within the stretch budget"
-    cache = _cache_path(params)
-    have: list[str] = []
-    resume = None
-    if cache is not None and os.path.exists(cache):
-        have = cached_seeds(cache, params)
-        if have:
-            resume = word_decode(have[-1], params)
-    if listed in have:
-        return expected, expected
-
-    def on_seed(w, nodes):
-        text = word_encode(w)
-        have.append(text)
-        if cache is not None:
-            append_seed_cache(cache, w, nodes)
-        return text == listed
-
-    result = rotation_seed_search(
-        params,
-        find_all=True,
-        time_budget=900,
-        resume_after=resume,
-        on_seed=on_seed,
-    )
-    if listed in have:
-        return expected, expected
-    if result.budget_exhausted:
-        return (
-            expected,
-            f"budget exhausted after {result.nodes_explored} nodes; not refuted",
-            STATUS_SKIPPED,
-        )
-    return expected, f"tree exhausted without the reference seed ({len(have)} words)"
+    # the reference seed is the first (7,2) seed in lexicographic order,
+    # so a first-seed search decides the claim; it starts over each run
+    return _first_seed_search(7, 2, STRETCH_TIME_BUDGET)
 
 
 # --- ramsey ---------------------------------------------------------------
@@ -868,46 +835,23 @@ def _skipped(claim: str) -> ReportEntry:
 
 
 def reproduce_all(
-    tier: str = "default",
-    budget: float | None = None,
-    seed: int = 0,
-    jobs: int = 1,
+    tier: str = "default", budget: float | None = None, seed: int = 0
 ) -> Report:
-    """Run every entry of the tier; entries are reported in registry
-    order.  budget is a wall-clock cutoff: entries not started before
-    it expires are reported as skipped.  jobs > 1 runs entries in
-    worker processes (same ordering, same strings)."""
+    """Run every entry of the tier, one after another in registry order.
+
+    budget is a wall-clock cutoff in seconds: an entry already running
+    finishes, and every entry not started before it expires is reported
+    as skipped."""
     if tier not in TIERS:
         raise ValueError(f"tier must be one of {TIERS}")
-    claims = _selected_claims(tier)
     generated_at = datetime.now(timezone.utc).isoformat()
     deadline = None if budget is None else time.monotonic() + budget
     entries: list[ReportEntry] = []
-    if jobs <= 1:
-        for claim in claims:
-            if deadline is not None and time.monotonic() > deadline:
-                entries.append(_skipped(claim))
-            else:
-                entries.append(_run_one(claim, seed))
-        return Report(generated_at, tier, seed, entries)
-
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = {claim: pool.submit(_run_one, claim, seed) for claim in claims}
-        cancelled: set[str] = set()
-        swept = False
-        for claim in claims:
-            if not swept and deadline is not None and time.monotonic() >= deadline:
-                # deadline passed: cancel everything still queued at once,
-                # otherwise freed workers keep dequeueing entries faster
-                # than this loop can cancel them one by one
-                swept = True
-                for other in claims:
-                    if futures[other].cancel():
-                        cancelled.add(other)
-            if claim in cancelled:
-                entries.append(_skipped(claim))
-            else:
-                entries.append(futures[claim].result())
+    for claim in _selected_claims(tier):
+        if deadline is not None and time.monotonic() > deadline:
+            entries.append(_skipped(claim))
+        else:
+            entries.append(_run_one(claim, seed))
     return Report(generated_at, tier, seed, entries)
 
 

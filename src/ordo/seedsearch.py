@@ -27,7 +27,6 @@ from datetime import datetime, timezone
 from typing import Callable
 
 from .debruijn import (
-    GRAPH_VERTEX_LIMIT,
     DBParams,
     DeBruijnWord,
     _check_vertex_limit,
@@ -46,6 +45,11 @@ __all__ = [
 ]
 
 _BUDGET_CHECK_STRIDE = 8192
+
+# the step table holds two masks per arc, each up to n^(m+1) + n^m bits
+# wide, and is built before the first node: at (22,2), 484 vertices, that
+# takes 1-2 s and 34 MB
+SEED_SEARCH_VERTEX_LIMIT = 2**9
 
 
 @dataclass
@@ -116,9 +120,9 @@ def rotation_seed_search(
     resume_after skips every word up to and including the given one.
     on_seed fires for each seed the moment it is found; a truthy return
     value ends the search early (still counted as completed).
-    Refuses n^m > GRAPH_VERTEX_LIMIT before building its tables.
+    Refuses n^m > SEED_SEARCH_VERTEX_LIMIT before building its tables.
     """
-    _check_vertex_limit(params, GRAPH_VERTEX_LIMIT, "seed search")
+    _check_vertex_limit(params, SEED_SEARCH_VERTEX_LIMIT, "seed search")
     n, m = params.n, params.m
     total = params.vertex_count
     base = n ** (m - 1)

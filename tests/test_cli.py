@@ -347,9 +347,12 @@ class TestSeedSearch:
         assert "seeds.jsonl:2: not valid JSON" in err
 
     def test_huge_graph_refused(self, capsys):
-        code, out, err = run(capsys, "debruijn", "seed-search", "3", "40", "--budget", "1")
-        assert (code, out) == (2, "")
-        assert "seed search limit" in err
+        # B(36,2) fits the graph limit, but its step table alone would
+        # take many times the one-second budget to build
+        for n, m in (("3", "40"), ("36", "2")):
+            code, out, err = run(capsys, "debruijn", "seed-search", n, m, "--budget", "1")
+            assert (code, out) == (2, ""), (n, m)
+            assert "seed search limit" in err
 
     def test_budget_exit_code(self, capsys):
         code, _, err = run(

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 import tracemalloc
 
 import pytest

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 
 import numpy as np
 import pytest

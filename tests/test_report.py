@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
+from ordo import report as report_module
 from ordo.graphs import SimpleGraph, complete_multipartite
 from ordo.report import (
     _REGISTRY,
@@ -139,9 +141,30 @@ class TestReproduceAll:
         assert report.exit_code == 3
         assert len(report.entries) == len(_selected_claims("quick"))
 
-    def test_zero_budget_parallel(self):
-        report = reproduce_all(tier="quick", budget=0.0, jobs=2)
-        skipped = [e for e in report.entries if e.status == STATUS_SKIPPED]
-        # a worker may win the race for the first entries, the rest skip
-        assert len(skipped) >= len(report.entries) - 4
-        assert [e.claim for e in report.entries] == _selected_claims("quick")
+    def test_budget_runs_out_mid_run(self, monkeypatch):
+        # entries not started before the deadline are skipped, in order
+        budget = 0.2
+
+        def outlast(seed):
+            time.sleep(budget + 0.1)
+            return "x", "x"
+
+        registry = {
+            "first": ("quick", False, lambda seed: ("x", "x")),
+            "second": ("quick", False, outlast),
+            "third": ("quick", False, lambda seed: ("x", "x")),
+        }
+        monkeypatch.setattr(report_module, "_REGISTRY", registry)
+        report = reproduce_all(tier="quick", budget=budget)
+        assert [(e.claim, e.status) for e in report.entries] == [
+            ("first", STATUS_MATCH),
+            ("second", STATUS_MATCH),
+            ("third", STATUS_SKIPPED),
+        ]
+        assert report.exit_code == 3
+
+    def test_stretch_entry_skips_when_its_budget_runs_out(self, monkeypatch):
+        monkeypatch.setattr(report_module, "STRETCH_TIME_BUDGET", 0)
+        entry = _run_one("seed search (7,2), stretch", seed=0)
+        assert entry.status == STATUS_SKIPPED
+        assert entry.computed == "budget exhausted after 0 nodes; not refuted"

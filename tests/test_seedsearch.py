@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import tracemalloc
 
 import pytest
@@ -181,7 +180,13 @@ class TestSizeGuard:
         # the orbit and step tables of B(3, 40) would need 3^40 entries
         tracemalloc.start()
         try:
-            for params in (DBParams(3, 40), DBParams(2, 15), DBParams(36, 3), DBParams(2, 10**9)):
+            for params in (
+                DBParams(3, 40),
+                DBParams(2, 15),
+                DBParams(36, 3),
+                DBParams(36, 2),
+                DBParams(2, 10**9),
+            ):
                 with pytest.raises(ValueError, match="seed search limit"):
                     rotation_seed_search(params, time_budget=1)
             _, peak = tracemalloc.get_traced_memory()
