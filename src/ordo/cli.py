@@ -11,8 +11,6 @@ import argparse
 import os
 import sys
 import tempfile
-from itertools import islice
-from typing import Iterator
 
 from . import debruijn as db
 from . import graphio
@@ -21,11 +19,7 @@ from . import turan
 from .graphs import Tournament, max_edges_without_clique_oracle
 from .redei import is_hamiltonian_path, redei_hamiltonian_path
 from .report import render_table, reproduce_all
-from .seedsearch import (
-    append_seed_cache,
-    cached_seeds,
-    rotation_seed_search,
-)
+from .seedsearch import append_seed_cache, resume_seeds, rotation_seed_search
 
 __all__ = ["main", "build_parser"]
 
@@ -143,13 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_lines(lines: Iterator[str]) -> None:
-    # a few thousand lines per write: a large graph's text is never held
-    # whole, and the writes cost less than one per line
-    while chunk := "".join(islice(lines, 4096)):
-        sys.stdout.write(chunk)
-
-
 def _cmd_redei(args: argparse.Namespace) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         digraph = graphio.read_digraph(fh.read())
@@ -196,7 +183,7 @@ def _cmd_ramsey(args: argparse.Namespace) -> int:
         return 0
     if args.ramsey_command == "andrasfai":
         g = ramsey.andrasfai_graph(args.k)
-        _write_lines(graphio._graph_dot_lines(g) if args.dot else graphio._graph_lines(g))
+        sys.stdout.writelines(graphio._graph_dot_lines(g) if args.dot else graphio._graph_lines(g))
         return 0
     if args.ramsey_command == "k17":
         col = ramsey.k17_mod3_coloring()
@@ -214,7 +201,7 @@ def _cmd_turan(args: argparse.Namespace) -> int:
         return 0
     if args.turan_command == "graph":
         g = turan.turan_extremal_graph(n, k)
-        _write_lines(graphio._graph_dot_lines(g) if args.dot else graphio._graph_lines(g))
+        sys.stdout.writelines(graphio._graph_dot_lines(g) if args.dot else graphio._graph_lines(g))
         return 0
     if args.turan_command == "verify":
         bound = turan.turan_max_edges(n, k)
@@ -245,11 +232,11 @@ def _cmd_debruijn(args: argparse.Namespace) -> int:
         elif args.dot:
             d = db.de_bruijn_graph(params)
             names = [db.word_of_vertex(v, params) for v in range(d.vertex_count)]
-            _write_lines(
+            sys.stdout.writelines(
                 graphio._digraph_dot_lines(d, names=names, title=f"B_{params.n}_{params.m}")
             )
         else:
-            _write_lines(graphio._digraph_lines(db.de_bruijn_graph(params)))
+            sys.stdout.writelines(graphio._digraph_lines(db.de_bruijn_graph(params)))
         return 0
     if cmd == "martin":
         print(db.word_encode(db.martin(db.DBParams(args.n, args.m))))
@@ -292,13 +279,12 @@ def _cmd_seed_search(args: argparse.Namespace) -> int:
     params = db.DBParams(args.n, args.m)
     resume_word = None
     if args.resume:
-        known = cached_seeds(args.resume, params)
-        for text in known:
-            print(text)
+        known = resume_seeds(args.resume, params)
+        for word in known:
+            print(db.word_encode(word))
         if known:
             # seeds stream out in word order, so the largest one is the furthest
-            words = [db.word_decode(text, params) for text in known]
-            resume_word = max(words, key=lambda w: w.letters)
+            resume_word = max(known, key=lambda w: w.letters)
 
     def on_seed(word, nodes):
         text = db.word_encode(word)

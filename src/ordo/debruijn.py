@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -94,9 +94,13 @@ class DeBruijnWord:
 
     letters has length n^m, starts with the 0^m block, and every
     length-m window (cyclically) is distinct; all three are enforced
-    on construction.  The census checks the same conditions on a batch
-    of words at once (`_checked_words`) and builds the words of a batch
-    that passes without repeating the check word by word.
+    on construction.  The census and rotation_family check the same
+    conditions on a whole batch of words in one numpy pass
+    (`_columns_are_cycles`: letter range, the 0^m start, and each
+    word's windows, counted, filling 0..n^m-1 once) and build the words
+    of a batch that passes without repeating the check word by word; a
+    batch that fails goes through this constructor, which names the
+    first bad word's fault.
     """
 
     params: DBParams
@@ -141,49 +145,64 @@ class DeBruijnWord:
 def _checked_words(params: DBParams, rows: list[tuple[int, ...]]) -> list[DeBruijnWord]:
     """DeBruijnWord(params, t) for every t in rows, validated in one numpy pass.
 
-    Runs the constructor's checks on the whole batch: length, letter
-    range, the 0^m start and window distinctness, the last as the OR of
-    1 << window down each column of the transposed batch, which is
-    2^(n^m) - 1 exactly when the word's n^m windows are distinct.  Needs
-    n^m < 64 so that a word's window bits fit one int64, as the
-    enumeration guard ensures.  When any row fails, the batch goes
-    through the checking constructor, which raises its usual error for
-    the first bad row.
+    Runs the constructor's checks on the whole batch (`_batch_is_valid`).
+    When any row fails, the batch goes through the checking constructor,
+    which raises its usual error for the first bad row.
     """
-    n, m = params.n, params.m
-    total = params.vertex_count
-    assert total < 64, "window bits must fit an int64"
-    if _batch_is_valid(rows, n, m, total):
-        words = []
-        new, set_field = object.__new__, object.__setattr__
-        for letters in rows:
-            word = new(DeBruijnWord)
-            set_field(word, "params", params)
-            set_field(word, "letters", letters)
-            words.append(word)
-        return words
+    if _batch_is_valid(rows, params.n, params.m, params.vertex_count):
+        return _unchecked_words(params, rows)
     return [DeBruijnWord(params, t) for t in rows]
+
+
+def _unchecked_words(params: DBParams, rows: Iterable[tuple[int, ...]]) -> list[DeBruijnWord]:
+    # words whose letters already passed the constructor's checks
+    words = []
+    new, set_field = object.__new__, object.__setattr__
+    for letters in rows:
+        word = new(DeBruijnWord)
+        set_field(word, "params", params)
+        set_field(word, "letters", letters)
+        words.append(word)
+    return words
 
 
 def _batch_is_valid(rows: list[tuple[int, ...]], n: int, m: int, total: int) -> bool:
     if set(map(len, rows)) != {total}:
         return False
     try:
-        flat = bytes(chain.from_iterable(rows))
+        flat = bytearray(chain.from_iterable(rows))
     except (TypeError, ValueError):  # a letter that is no byte value
         return False
     letters = np.frombuffer(flat, dtype=np.uint8).reshape(-1, total)
-    # in range, every window is below n^m < 64, a defined shift below
-    if (letters >= n).any() or letters[:, :m].any():
-        return False
-    # one column per word: row i holds the letters at position i, so the
-    # window at i is the base-n number read down rows i..i+m-1, cyclically
-    column = letters.T.astype(np.int64)
-    windows = column
+    return _columns_are_cycles(letters.T.astype(np.int64), n, m)
+
+
+def _windows(columns: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The base-n value of the length-m window at each position of each
+    word, cyclically, for int64 words held one per column: row i holds
+    the letters at position i, so a window is read down m rows."""
+    windows = columns
     for j in range(1, m):
-        windows = windows * n + np.roll(column, -j, axis=0)
-    seen = np.bitwise_or.reduce(np.left_shift(1, windows), axis=0)
-    return bool((seen == (1 << total) - 1).all())
+        windows = windows * n + np.concatenate((columns[j:], columns[:j]))
+    return windows
+
+
+def _columns_are_cycles(columns: np.ndarray, n: int, m: int) -> bool:
+    """Whether every column of n^m int64 letters passes DeBruijnWord's
+    checks: letters in 0..n-1, the 0^m start, and distinct windows.
+
+    With the letters in range every window is below n^m, so a column's
+    n^m windows are distinct exactly when its windows, sorted, are
+    0..n^m-1: one bincount over all columns, each shifted to its own
+    n^m slots, has to be all ones.
+    """
+    total, count = columns.shape
+    if columns.size == 0:
+        return True
+    if columns.min() < 0 or columns.max() >= n or columns[:m].any():
+        return False
+    slots = _windows(columns, n, m) + np.arange(0, total * count, total)
+    return bool((np.bincount(slots.ravel(), minlength=total * count) == 1).all())
 
 
 def word_encode(word: DeBruijnWord) -> str:
@@ -471,11 +490,29 @@ def sigma(word: DeBruijnWord) -> DeBruijnWord:
 
 
 def rotation_family(seed: DeBruijnWord) -> list[DeBruijnWord]:
-    """The n-1 cycles [seed, sigma(seed), ..., sigma^(n-2)(seed)]."""
-    family = [seed]
-    for _ in range(seed.params.n - 2):
-        family.append(sigma(family[-1]))
-    return family
+    """The n-1 cycles [seed, sigma(seed), ..., sigma^(n-2)(seed)].
+
+    sigma fixes the letter 0, so the image of a word that starts at 0^m
+    starts there too and needs no rotation: the n-2 images are the
+    seed's letters under the powers of the letter map, built as one
+    array.  They get the constructor's checks as one batch (length,
+    letter range, the 0^m start, distinct windows); when the batch
+    fails, they go through the checking constructor, which raises its
+    usual error for the first bad image.
+    """
+    params = seed.params
+    n, m = params.n, params.m
+    if n == 2:
+        return [seed]
+    smap = np.array(sigma_symbol_map(n))
+    powers = [smap]  # powers[k] maps a letter to its image under sigma^(k+1)
+    for _ in range(n - 3):
+        powers.append(smap[powers[-1]])
+    images = np.array(powers)[:, np.array(seed.letters, dtype=np.int64)]
+    rows = list(map(tuple, images.tolist()))
+    if len(seed.letters) == params.vertex_count and _columns_are_cycles(images.T, n, m):
+        return [seed] + _unchecked_words(params, rows)
+    return [seed] + [DeBruijnWord(params, t) for t in rows]
 
 
 @dataclass(frozen=True)
@@ -487,11 +524,15 @@ class ArcConflict:
     shared: frozenset[tuple[int, int]]
 
 
-def arc_conflict(words: Sequence[DeBruijnWord]) -> ArcConflict | None:
-    """Scan index pairs in order; None means pairwise arc-disjoint."""
+def _check_same_graph(words: Sequence[DeBruijnWord]) -> None:
     for w in words[1:]:
         if w.params != words[0].params:
             raise ValueError("cycles live in different graphs")
+
+
+def arc_conflict(words: Sequence[DeBruijnWord]) -> ArcConflict | None:
+    """Scan index pairs in order; None means pairwise arc-disjoint."""
+    _check_same_graph(words)
     arc_sets = [arcs_of(w) for w in words]
     for i in range(len(words)):
         for j in range(i + 1, len(words)):
@@ -502,7 +543,19 @@ def arc_conflict(words: Sequence[DeBruijnWord]) -> ArcConflict | None:
 
 
 def pairwise_arc_disjoint(words: Sequence[DeBruijnWord]) -> bool:
-    return arc_conflict(words) is None
+    """Whether arc_conflict(words) is None, without the pairwise scan.
+
+    An arc leaving the window at position i is numbered window * n +
+    the letter after it, which is the (m+1)-letter window there.  A
+    cycle's arcs are distinct, so the cycles share an arc exactly when
+    some number occurs twice among all of theirs: one bincount.
+    """
+    _check_same_graph(words)
+    if not words:
+        return True
+    columns = np.array([w.letters for w in words], dtype=np.int64).T
+    arc_ids = _windows(columns, words[0].params.n, words[0].params.m + 1)
+    return bool(np.bincount(arc_ids.ravel()).max() <= 1)
 
 
 def max_disjoint_upper_bound(n: int) -> int:

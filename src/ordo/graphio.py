@@ -1,19 +1,55 @@
-"""Plain-text graph formats and DOT export.
+r"""Plain-text graph formats and DOT export.
 
 File formats use 1-based vertex numbers; everything in memory is
-0-based.  Blank lines and lines starting with '#' are ignored.
+0-based.
 
     graph:     header "n <vertices>", then one "u v" line per edge
     digraph:   header "digraph n <vertices>", then "u -> v" lines
     coloring:  header "n <vertices> c <colors>", then "u v color"
                lines covering every pair exactly once (colors 0-based)
+
+What the readers accept:
+
+- Lines are those of str.splitlines: they end at \n, \r\n, \r, \x0b,
+  \x0c, \x1c, \x1d, \x1e, \x85, \u2028 or \u2029.
+- A '#' starts a comment that runs to the end of its line.  Lines that
+  are blank once the comment is cut off are skipped, and the first
+  other line is the header.
+- Fields are separated by runs of whitespace as str.split sees it:
+  spaces and tabs, but also \x1f, \xa0, \u3000 and the other Unicode
+  spaces.
+- A vertex number, a color or a header count is whatever int() takes:
+  an optional sign, ASCII or other Unicode decimal digits, leading
+  zeros, and single underscores between digits, so "+1", "01", "1_0"
+  and "\u0661" are all numbers.
+- Graph and digraph headers of more than GRAPH_VERTEX_LIMIT vertices
+  are refused before anything is allocated.
+
+Each reader first matches the whole text against a strict form of its
+format: \n line breaks, spaces and tabs, ASCII numbers of at most 18
+digits, and comments.  A text of that form is split, converted and
+range-checked as whole numpy arrays.  Any other text, or one that fails
+a check, goes through the line-by-line reader, which names the first
+bad line.  Both readers give the same result or the same error.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import re
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import Digraph, EdgeColoring, SimpleGraph, _bit_indices, _pair_rank
+import numpy as np
+
+from .graphs import (
+    GRAPH_VERTEX_LIMIT,
+    Digraph,
+    EdgeColoring,
+    SimpleGraph,
+    _bit_indices,
+    _pair_rank,
+)
 
 __all__ = [
     "read_graph",
@@ -28,6 +64,62 @@ __all__ = [
 ]
 
 DOT_PALETTE = ("blue", "red", "green", "orange", "purple", "brown", "cyan", "gray")
+
+# the characters str.splitlines ends a line at
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_COMMENT = re.compile("#[^\n]*")
+
+
+@functools.cache  # compiled on first use: a program that reads no graph pays nothing
+def _strict_form(header: str, line: str) -> re.Pattern[str]:
+    r"""The strict form of a format whose header and body lines have the
+    given fields, "N" standing for a number.
+
+    Blank and comment lines, then the header line, then lines that hold
+    the line fields, a comment, both or neither.  Lines end at \n only,
+    fields are separated by spaces and tabs, and a number is 1 to 18
+    ASCII digits, so it fits an int64.  The groups are the header's
+    numbers and then "body", the text after the header line.
+    """
+
+    def fields(spec: str, number: str) -> str:
+        return "[ \t]++".join(number if f == "N" else re.escape(f) for f in spec.split())
+
+    rest = f"[ \t]*+(?:#[^{_LINE_BREAKS}]*+)?+"  # trailing blanks and a comment
+    body_line = f"[ \t]*+(?:{fields(line, '[0-9]{1,18}+')})?+{rest}"
+    return re.compile(
+        f"(?:{rest}\n)*+[ \t]*+{fields(header, '([0-9]{1,18}+)')}{rest}"
+        f"(?:\n(?P<body>(?:{body_line}\n)*+{body_line}))?+"
+    )
+
+
+def _bulk_fields(
+    form: re.Pattern[str], text: str, width: int
+) -> tuple[list[int], np.ndarray] | None:
+    """The header numbers and the body numbers, `width` to a row, of a
+    text in the given strict form; None for any other text."""
+    match = form.fullmatch(text)
+    if match is None:
+        return None
+    *header, body = match.groups("")
+    if "#" in body:
+        body = _COMMENT.sub("", body)
+    body = body.replace("->", "  ")
+    if body.isspace() or not body:
+        # np.fromstring reads a text with no number at all as [0]
+        values = np.zeros(0, dtype=np.int64)
+    else:
+        values = np.fromstring(body, dtype=np.int64, sep=" ")
+    return [int(h) for h in header], values.reshape(-1, width)
+
+
+def _in_range(values: np.ndarray, n: int) -> bool:
+    return values.size == 0 or (values.min() >= 1 and values.max() <= n)
+
+
+def _check_vertex_count(n: int) -> None:
+    if n > GRAPH_VERTEX_LIMIT:
+        raise ValueError(f"graph limit: n must be <= {GRAPH_VERTEX_LIMIT}")
 
 
 def _content_lines(text: str) -> list[list[str]]:
@@ -49,25 +141,23 @@ def _parse_vertex(token: str, n: int) -> int:
     return v - 1
 
 
-def _sorted_edges(g: SimpleGraph) -> Iterator[tuple[int, int]]:
-    """The edges (u, v), u < v, in ascending order, read off the rows."""
-    for u, row in enumerate(g.adj):
-        for i in _bit_indices(row >> u + 1):
-            yield u, u + 1 + i
-
-
-def _sorted_arcs(d: Digraph) -> Iterator[tuple[int, int]]:
-    """The arcs (u, v) in ascending order, read off the rows."""
-    for u, row in enumerate(d.out_adj):
-        for v in _bit_indices(row):
-            yield u, v
-
-
 def read_graph(text: str) -> SimpleGraph:
+    bulk = _bulk_fields(_strict_form("n N", "N N"), text, 2)
+    if bulk is not None:
+        (n,), edges = bulk
+        _check_vertex_count(n)
+        us, vs = edges.T - 1
+        if _in_range(edges, n) and (us != vs).all():
+            return SimpleGraph._from_pairs(n, us, vs)
+    return _read_graph_lines(text)
+
+
+def _read_graph_lines(text: str) -> SimpleGraph:
     rows = _content_lines(text)
     if not rows or len(rows[0]) != 2 or rows[0][0] != "n":
         raise ValueError('graph file must start with a header line "n <vertices>"')
     n = int(rows[0][1])
+    _check_vertex_count(n)
     edges = []
     for row in rows[1:]:
         if len(row) != 2:
@@ -76,11 +166,19 @@ def read_graph(text: str) -> SimpleGraph:
     return SimpleGraph(n, edges)
 
 
+def _vertex_labels(n: int) -> list[str]:
+    return [f"{v + 1}\n" for v in range(n)]
+
+
 def _graph_lines(g: SimpleGraph) -> Iterator[str]:
-    """The lines of write_graph, each with its newline, one at a time."""
+    """The text of write_graph: the header, then for each vertex u with
+    edges to higher vertices its "u v" lines, each with its newline."""
     yield f"n {g.vertex_count}\n"
-    for u, v in _sorted_edges(g):
-        yield f"{u + 1} {v + 1}\n"
+    labels = _vertex_labels(g.vertex_count)
+    for u, row in enumerate(g.adj):
+        if above := row >> u + 1:
+            head = f"{u + 1} "
+            yield head + head.join([labels[u + 1 + i] for i in _bit_indices(above)])
 
 
 def write_graph(g: SimpleGraph) -> str:
@@ -88,10 +186,22 @@ def write_graph(g: SimpleGraph) -> str:
 
 
 def read_digraph(text: str) -> Digraph:
+    bulk = _bulk_fields(_strict_form("digraph n N", "N -> N"), text, 2)
+    if bulk is not None:
+        (n,), arcs = bulk
+        _check_vertex_count(n)
+        if _in_range(arcs, n):
+            tails, heads = arcs.T - 1
+            return Digraph._from_pairs(n, tails, heads)
+    return _read_digraph_lines(text)
+
+
+def _read_digraph_lines(text: str) -> Digraph:
     rows = _content_lines(text)
     if not rows or rows[0][:2] != ["digraph", "n"] or len(rows[0]) != 3:
         raise ValueError('digraph file must start with a header line "digraph n <vertices>"')
     n = int(rows[0][2])
+    _check_vertex_count(n)
     arcs = []
     for row in rows[1:]:
         if len(row) != 3 or row[1] != "->":
@@ -101,10 +211,14 @@ def read_digraph(text: str) -> Digraph:
 
 
 def _digraph_lines(d: Digraph) -> Iterator[str]:
-    """The lines of write_digraph, each with its newline, one at a time."""
+    """The text of write_digraph: the header, then for each vertex u with
+    arcs its "u -> v" lines, each with its newline."""
     yield f"digraph n {d.vertex_count}\n"
-    for u, v in _sorted_arcs(d):
-        yield f"{u + 1} -> {v + 1}\n"
+    labels = _vertex_labels(d.vertex_count)
+    for u, row in enumerate(d.out_adj):
+        if row:
+            head = f"{u + 1} -> "
+            yield head + head.join([labels[v] for v in _bit_indices(row)])
 
 
 def write_digraph(d: Digraph) -> str:
@@ -112,6 +226,25 @@ def write_digraph(d: Digraph) -> str:
 
 
 def read_coloring(text: str) -> EdgeColoring:
+    bulk = _bulk_fields(_strict_form("n N c N", "N N N"), text, 3)
+    if bulk is not None:
+        (n, color_count), lines = bulk
+        pair_count = n * (n - 1) // 2
+        if len(lines) == pair_count and _in_range(lines[:, :2], n):
+            ends = np.sort(lines[:, :2] - 1, axis=1)
+            u, v = ends.T
+            if (u != v).all():
+                rank = u * (2 * n - u - 1) // 2 + (v - u - 1)
+                if (np.bincount(rank, minlength=pair_count) == 1).all():
+                    # the constructor checks the colors, in pair order,
+                    # as it does for the line reader
+                    flat = np.empty(pair_count, dtype=np.int64)
+                    flat[rank] = lines[:, 2]
+                    return EdgeColoring(n, color_count, flat.tolist())
+    return _read_coloring_lines(text)
+
+
+def _read_coloring_lines(text: str) -> EdgeColoring:
     rows = _content_lines(text)
     if (
         not rows
@@ -146,12 +279,10 @@ def read_coloring(text: str) -> EdgeColoring:
 
 
 def write_coloring(col: EdgeColoring) -> str:
-    n = col.vertex_count
-    lines = [f"n {n} c {col.color_count}"]
-    for u in range(n):
-        for v in range(u + 1, n):
-            lines.append(f"{u + 1} {v + 1} {col.color_of(u, v)}")
-    return "\n".join(lines) + "\n"
+    # the colors are stored in the order of the pairs' lines
+    pairs = itertools.combinations(range(1, col.vertex_count + 1), 2)
+    lines = [f"{u} {v} {c}\n" for (u, v), c in zip(pairs, col.colors)]
+    return f"n {col.vertex_count} c {col.color_count}\n" + "".join(lines)
 
 
 def _node_names(n: int, names: Sequence[str] | None) -> list[str]:
@@ -165,13 +296,15 @@ def _node_names(n: int, names: Sequence[str] | None) -> list[str]:
 def _graph_dot_lines(
     g: SimpleGraph, names: Sequence[str] | None = None, title: str = "G"
 ) -> Iterator[str]:
-    """The lines of graph_to_dot, each with its newline, one at a time."""
-    ids = _node_names(g.vertex_count, names)
-    yield f"graph {title} {{\n"
-    for v in range(g.vertex_count):
-        yield f'  "{ids[v]}";\n'
-    for u, v in _sorted_edges(g):
-        yield f'  "{ids[u]}" -- "{ids[v]}";\n'
+    """The text of graph_to_dot: the opening and node lines, then for each
+    vertex u with edges to higher vertices its edge lines, then the
+    closing line."""
+    ids = [f'"{name}"' for name in _node_names(g.vertex_count, names)]
+    yield f"graph {title} {{\n" + "".join([f"  {i};\n" for i in ids])
+    for u, row in enumerate(g.adj):
+        if above := row >> u + 1:
+            head = f"  {ids[u]} -- "
+            yield "".join([f"{head}{ids[u + 1 + i]};\n" for i in _bit_indices(above)])
     yield "}\n"
 
 
@@ -185,19 +318,24 @@ def _digraph_dot_lines(
     title: str = "G",
     highlight: Iterable[tuple[int, int]] = (),
 ) -> Iterator[str]:
-    """The lines of digraph_to_dot, each with its newline, one at a time."""
-    ids = _node_names(d.vertex_count, names)
+    """The text of digraph_to_dot: the opening and node lines, then for
+    each vertex u with arcs its arc lines, then the closing line."""
     n = d.vertex_count
+    ids = [f'"{name}"' for name in _node_names(n, names)]
     marked = set(highlight)
     for u, v in marked:
         if not (0 <= u < n and 0 <= v < n and d.has_arc(u, v)):
             raise ValueError(f"cannot highlight missing arc ({u}, {v})")
-    yield f"digraph {title} {{\n"
-    for v in range(d.vertex_count):
-        yield f'  "{ids[v]}";\n'
-    for u, v in _sorted_arcs(d):
-        attr = " [color=red penwidth=2]" if (u, v) in marked else ""
-        yield f'  "{ids[u]}" -> "{ids[v]}"{attr};\n'
+    yield f"digraph {title} {{\n" + "".join([f"  {i};\n" for i in ids])
+    for u, row in enumerate(d.out_adj):
+        if row:
+            head = f"  {ids[u]} -> "
+            yield "".join(
+                [
+                    f"{head}{ids[v]}{' [color=red penwidth=2]' if (u, v) in marked else ''};\n"
+                    for v in _bit_indices(row)
+                ]
+            )
     yield "}\n"
 
 

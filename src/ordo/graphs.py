@@ -66,6 +66,15 @@ class SimpleGraph:
         g.adj = tuple(adj)
         return g
 
+    @classmethod
+    def _from_pairs(cls, n: int, us: np.ndarray, vs: np.ndarray) -> SimpleGraph:
+        """The graph with the edges {us[i], vs[i]}: 0-based, in range and
+        loop-free, unchecked."""
+        bits = _bit_matrix(n, us, vs)
+        if bits is None:
+            return cls(n, zip(us.tolist(), vs.tolist()))
+        return cls._from_rows(_rows_of(bits | bits.T))
+
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         """The edges as (u, v) pairs with u < v, derived from the bits."""
@@ -130,6 +139,19 @@ class Digraph:
         d.vertex_count = n
         d.out_adj = rows
         d.in_adj = _transpose(rows)
+        return d
+
+    @classmethod
+    def _from_pairs(cls, n: int, tails: np.ndarray, heads: np.ndarray) -> Digraph:
+        """The digraph with the arcs (tails[i], heads[i]): 0-based and in
+        range, unchecked.  in_adj comes from the same bit matrix."""
+        bits = _bit_matrix(n, tails, heads)
+        if bits is None:
+            return cls(n, zip(tails.tolist(), heads.tolist()))
+        d = cls.__new__(cls)
+        d.vertex_count = n
+        d.out_adj = tuple(_rows_of(bits))
+        d.in_adj = tuple(_rows_of(bits.T))
         return d
 
     @property
@@ -217,8 +239,6 @@ def _bit_indices(row: int) -> list[int]:
 def _transpose(rows: tuple[int, ...]) -> tuple[int, ...]:
     """The rows of the transposed n x n bit matrix, n = len(rows)."""
     n = len(rows)
-    if n == 0:
-        return ()
     # one byte string of little-endian rows, unpacked to an n x n matrix
     # of one byte per bit, transposed and packed back: far cheaper than
     # setting one bit per arc once n passes a handful of vertices
@@ -226,9 +246,28 @@ def _transpose(rows: tuple[int, ...]) -> tuple[int, ...]:
     packed = np.frombuffer(
         b"".join([row.to_bytes(width, "little") for row in rows]), dtype=np.uint8
     ).reshape(n, width)
-    bits = np.unpackbits(packed, axis=1, count=n, bitorder="little")
-    data = np.packbits(bits.T, axis=1, bitorder="little").tobytes()
-    return tuple([int.from_bytes(data[i : i + width], "little") for i in range(0, n * width, width)])
+    return tuple(_rows_of(np.unpackbits(packed, axis=1, count=n, bitorder="little").T))
+
+
+def _bit_matrix(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray | None:
+    """The n x n bool matrix set at every (us[i], vs[i]), or None when it
+    would take more bytes than the two int64 index arrays: a graph that
+    sparse is cheaper to build pair by pair."""
+    if n * n > 16 * len(us):
+        return None
+    bits = np.zeros((n, n), dtype=bool)
+    bits[us, vs] = True
+    return bits
+
+
+def _rows_of(bits: np.ndarray) -> list[int]:
+    """Row u of a square 0/1 matrix as an int with bit v set iff bits[u, v]."""
+    n = len(bits)
+    if n == 0:
+        return []
+    width = (n + 7) // 8
+    data = np.packbits(bits, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, n * width, width)]
 
 
 def _pair_count(n: int) -> int:

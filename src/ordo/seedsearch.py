@@ -33,6 +33,7 @@ from .debruijn import (
     pairwise_arc_disjoint,
     rotation_family,
     sigma_symbol_map,
+    word_decode,
     word_encode,
 )
 
@@ -42,6 +43,7 @@ __all__ = [
     "append_seed_cache",
     "read_seed_cache",
     "cached_seeds",
+    "resume_seeds",
 ]
 
 _BUDGET_CHECK_STRIDE = 8192
@@ -268,3 +270,22 @@ def cached_seeds(path: str, params: DBParams) -> list[str]:
         for e in read_seed_cache(path)
         if e["n"] == params.n and e["m"] == params.m
     ]
+
+
+def resume_seeds(path: str, params: DBParams) -> list[DeBruijnWord]:
+    """The seeds a cache file records for (n, m), in file order, each
+    checked to be a rotation seed, ready to resume a search from.
+
+    Refuses n^m > SEED_SEARCH_VERTEX_LIMIT before opening the file, and
+    any recorded word whose rotation family is not pairwise arc-disjoint.
+    """
+    _check_vertex_limit(params, SEED_SEARCH_VERTEX_LIMIT, "seed search")
+    words = []
+    for text in cached_seeds(path, params):
+        word = word_decode(text, params)
+        if not pairwise_arc_disjoint(rotation_family(word)):
+            raise ValueError(
+                f"{path}: {text} is not a rotation seed of B({params.n}, {params.m})"
+            )
+        words.append(word)
+    return words

@@ -10,10 +10,11 @@ import tracemalloc
 import pytest
 
 from ordo.cli import main
+from ordo.debruijn import DBParams, martin, word_decode
 from ordo.graphio import write_coloring, write_digraph
 from ordo.graphs import Tournament
 from ordo.ramsey import k17_mod3_coloring
-from ordo.seedsearch import read_seed_cache
+from ordo.seedsearch import append_seed_cache, read_seed_cache
 
 
 class LineSink(io.TextIOBase):
@@ -67,6 +68,13 @@ class TestRedei:
         code, _, err = run(capsys, "redei", "/nonexistent/file.txt")
         assert code == 2
         assert "error:" in err
+
+    def test_huge_header_refused(self, tmp_path, capsys):
+        file = tmp_path / "huge.txt"
+        file.write_text("digraph n 10000000\n1 -> 2\n")
+        code, out, err = run(capsys, "redei", str(file))
+        assert (code, out) == (2, "")
+        assert "graph limit" in err
 
 
 class TestRamsey:
@@ -352,6 +360,27 @@ class TestSeedSearch:
         for n, m in (("3", "40"), ("36", "2")):
             code, out, err = run(capsys, "debruijn", "seed-search", n, m, "--budget", "1")
             assert (code, out) == (2, ""), (n, m)
+            assert "seed search limit" in err
+
+    def test_resume_refuses_a_cached_non_seed(self, tmp_path, capsys):
+        # the greedy cycle of B(3,2) shares arcs with its rotated copy
+        cache = str(tmp_path / "seeds.jsonl")
+        append_seed_cache(cache, word_decode("0022120110", DBParams(3, 2)), 6)
+        code, out, err = run(
+            capsys, "debruijn", "seed-search", "3", "2", "--all", "--resume", cache
+        )
+        assert (code, out) == (2, "")
+        assert "0022120110 is not a rotation seed" in err
+
+    def test_huge_graph_refused_before_the_cache_is_read(self, tmp_path, capsys):
+        cache = tmp_path / "seeds.jsonl"
+        append_seed_cache(str(cache), martin(DBParams(36, 2)), 0)
+        for path in (cache, tmp_path / "missing.jsonl"):
+            code, out, err = run(
+                capsys, "debruijn", "seed-search", "36", "2",
+                "--resume", str(path), "--budget", "1",
+            )
+            assert (code, out) == (2, ""), path
             assert "seed search limit" in err
 
     def test_budget_exit_code(self, capsys):

@@ -40,6 +40,7 @@ from ordo.report import (
     REFERENCE_BLOCK_5_2,
     REFERENCE_CYCLES_2_3,
     REFERENCE_CYCLES_3_2,
+    REFERENCE_SEEDS,
 )
 
 
@@ -95,6 +96,8 @@ def lyndon_cycle(n: int, m: int) -> tuple[int, ...]:
     extend(1, 1)
     return tuple(out)
 
+
+SEED_TEXTS = [(nm, text) for nm, texts in sorted(REFERENCE_SEEDS.items()) for text in texts]
 
 # small graphs whose whole census the properties below draw words from
 CENSUS_PARAMS = (DBParams(2, 3), DBParams(2, 4), DBParams(3, 2), DBParams(4, 2), DBParams(6, 1))
@@ -216,6 +219,18 @@ class TestWordValidation:
         with pytest.raises(ValueError) as caught:
             debruijn._checked_words(params, batch)
         assert str(caught.value) == constructor_error(params, first_bad)
+
+    def test_valid_batches_skip_the_constructor(self, monkeypatch):
+        seed = martin(DBParams(5, 2))
+        batches = {p: [w.letters for w in census(p)] for p in CENSUS_PARAMS}
+
+        def refuse(word):
+            raise AssertionError("constructor used")
+
+        monkeypatch.setattr(DeBruijnWord, "__post_init__", refuse)
+        for params, batch in batches.items():
+            assert len(debruijn._checked_words(params, batch)) == len(batch)
+        assert len(rotation_family(seed)) == 4
 
     def test_vertex_cycle_visits_everything_once(self):
         for text in REFERENCE_CYCLES_3_2:
@@ -511,6 +526,86 @@ class TestRotationFamily:
         for n, m in ((2, 3), (3, 2), (5, 2)):
             w = martin(DBParams(n, m))
             assert len(rotation_family(w)) == n - 1
+
+
+def reference_family(seed: DeBruijnWord) -> list[DeBruijnWord]:
+    """The rotation family one sigma at a time, each image rotated back
+    to its 0^m window and checked by the constructor."""
+    family = [seed]
+    for _ in range(seed.params.n - 2):
+        family.append(sigma(family[-1]))
+    return family
+
+
+def unchecked_word(params: DBParams, letters: tuple[int, ...]) -> DeBruijnWord:
+    """A word built past the constructor's checks, as a corrupted one."""
+    word = object.__new__(DeBruijnWord)
+    object.__setattr__(word, "params", params)
+    object.__setattr__(word, "letters", letters)
+    return word
+
+
+def family_outcome(build, seed: DeBruijnWord):
+    """The members' letters, or the error: its message for a ValueError,
+    its type for anything else."""
+    try:
+        return [w.letters for w in build(seed)]
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    except (IndexError, AssertionError) as exc:
+        return type(exc).__name__
+
+
+class TestFamilyBatchCheck:
+    @settings(max_examples=300, derandomize=True, database=None)
+    @given(near_words())
+    def test_agrees_with_one_sigma_at_a_time(self, drawn):
+        # a corrupted seed that still starts at 0^m: every image carries
+        # the fault, and the first one raises the constructor's message
+        params, letters = drawn
+        if letters[: params.m] != (0,) * params.m:
+            return
+        seed = unchecked_word(params, letters)
+        assert family_outcome(rotation_family, seed) == family_outcome(reference_family, seed)
+
+    def test_every_census_word(self):
+        for params in (DBParams(2, 4), DBParams(3, 2), DBParams(6, 1), DBParams(4, 3)):
+            words = census(params) if params.vertex_count < 64 else [martin(params)]
+            for w in words:
+                assert rotation_family(w) == reference_family(w)
+
+    def test_corrupted_seed_raises(self):
+        seed = unchecked_word(DBParams(3, 2), (0, 0, 1, 1, 2, 2, 0, 1, 2))
+        with pytest.raises(ValueError, match="window repeated at position 6"):
+            rotation_family(seed)
+        seed = unchecked_word(DBParams(4, 2), martin(DBParams(4, 2)).letters[:-1])
+        with pytest.raises(ValueError, match="must have 16 letters, got 15"):
+            rotation_family(seed)
+
+    @settings(max_examples=300, derandomize=True, database=None)
+    @given(st.data())
+    def test_disjointness_agrees_with_the_pairwise_scan(self, data):
+        if data.draw(st.booleans()):
+            # part of a seed's rotation family, which is disjoint, perhaps
+            # with one more cycle of the same graph
+            (n, m), text = data.draw(st.sampled_from(SEED_TEXTS))
+            family = rotation_family(word_decode(text, DBParams(n, m)))
+            words = [w for w in family if data.draw(st.booleans())]
+            if data.draw(st.booleans()):
+                extra = data.draw(st.sampled_from([martin(DBParams(n, m))] + family))
+                words.insert(data.draw(st.integers(0, len(words))), extra)
+        else:
+            params = data.draw(st.sampled_from(CENSUS_PARAMS))
+            words = data.draw(st.lists(census_words(params), max_size=4))
+        if data.draw(st.integers(0, 4)) == 0:
+            words.insert(data.draw(st.integers(0, len(words))), data.draw(census_words()))
+        try:
+            expected = arc_conflict(words) is None
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                pairwise_arc_disjoint(words)
+        else:
+            assert pairwise_arc_disjoint(words) is expected
 
 
 class TestConflicts:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordo import graphio
 from ordo.graphio import (
     coloring_to_dot,
     digraph_to_dot,
@@ -21,7 +22,264 @@ from ordo.graphio import (
     write_digraph,
     write_graph,
 )
-from ordo.graphs import Digraph, EdgeColoring, SimpleGraph, Tournament, random_tournament
+from ordo.graphs import (
+    GRAPH_VERTEX_LIMIT,
+    Digraph,
+    EdgeColoring,
+    SimpleGraph,
+    Tournament,
+    _pair_rank,
+    random_tournament,
+)
+
+
+# --- the line-by-line readers, kept as the oracle of the bulk readers ---
+
+
+def reference_lines(text: str) -> list[list[str]]:
+    rows = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            rows.append(line.split())
+    return rows
+
+
+def reference_vertex(token: str, n: int) -> int:
+    try:
+        v = int(token)
+    except ValueError:
+        raise ValueError(f"not a vertex number: {token!r}") from None
+    if not 1 <= v <= n:
+        raise ValueError(f"vertex {v} outside 1..{n}")
+    return v - 1
+
+
+def reference_guard(n: int) -> None:
+    # the one change to the line readers: graph and digraph headers are
+    # checked against the vertex limit before anything is allocated
+    if n > GRAPH_VERTEX_LIMIT:
+        raise ValueError(f"graph limit: n must be <= {GRAPH_VERTEX_LIMIT}")
+
+
+def reference_read_graph(text: str) -> SimpleGraph:
+    rows = reference_lines(text)
+    if not rows or len(rows[0]) != 2 or rows[0][0] != "n":
+        raise ValueError('graph file must start with a header line "n <vertices>"')
+    n = int(rows[0][1])
+    reference_guard(n)
+    edges = []
+    for row in rows[1:]:
+        if len(row) != 2:
+            raise ValueError(f"edge line needs two vertices, got {' '.join(row)!r}")
+        edges.append((reference_vertex(row[0], n), reference_vertex(row[1], n)))
+    return SimpleGraph(n, edges)
+
+
+def reference_read_digraph(text: str) -> Digraph:
+    rows = reference_lines(text)
+    if not rows or rows[0][:2] != ["digraph", "n"] or len(rows[0]) != 3:
+        raise ValueError('digraph file must start with a header line "digraph n <vertices>"')
+    n = int(rows[0][2])
+    reference_guard(n)
+    arcs = []
+    for row in rows[1:]:
+        if len(row) != 3 or row[1] != "->":
+            raise ValueError(f"arc line must look like \"u -> v\", got {' '.join(row)!r}")
+        arcs.append((reference_vertex(row[0], n), reference_vertex(row[2], n)))
+    return Digraph(n, arcs)
+
+
+def reference_read_coloring(text: str) -> EdgeColoring:
+    rows = reference_lines(text)
+    if not rows or len(rows[0]) != 4 or rows[0][0] != "n" or rows[0][2] != "c":
+        raise ValueError('coloring file must start with a header line "n <vertices> c <colors>"')
+    n = int(rows[0][1])
+    color_count = int(rows[0][3])
+    pair_count = n * (n - 1) // 2
+    lines = len(rows) - 1
+    if pair_count > lines:
+        raise ValueError(
+            f"at least {pair_count - lines} vertex pairs have no color "
+            f"(K_{n} has {pair_count} pairs, the file {lines} lines)"
+        )
+    colors: list[int | None] = [None] * pair_count
+    for row in rows[1:]:
+        if len(row) != 3:
+            raise ValueError(f"coloring line needs \"u v color\", got {' '.join(row)!r}")
+        u = reference_vertex(row[0], n)
+        v = reference_vertex(row[1], n)
+        c = int(row[2])
+        i = _pair_rank(n, u, v)
+        if colors[i] is not None:
+            raise ValueError(f"pair ({u + 1}, {v + 1}) colored twice")
+        colors[i] = c
+    return EdgeColoring(n, color_count, colors)  # type: ignore[arg-type]
+
+
+def read_outcome(read, text: str):
+    """What a reader makes of a text: the graph's stored fields, or the
+    message of the ValueError it raises."""
+    try:
+        result = read(text)
+    except ValueError as exc:
+        return "error", str(exc)
+    if isinstance(result, Digraph):
+        return result.vertex_count, result.out_adj, result.in_adj
+    if isinstance(result, SimpleGraph):
+        return result.vertex_count, result.adj
+    return result.vertex_count, result.color_count, result.colors
+
+
+# what str.splitlines ends a line at besides \n; str.split's whitespace
+# outside spaces and tabs; numbers int() reads that the strict form does not
+OTHER_BREAKS = ("\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+ODD_SPACES = ("\x1f", "\xa0", "\u3000", "\u2003")
+ODD_NUMBERS = (
+    "+1", "1_0", "01", "0", "-1", "\u0661", "\u0663", "1.0", "x", "1" * 19, "0" * 19 + "2"
+)
+STRICT_COMMENT_LETTERS = "ab 1->#\t"
+COMMENT_LETTERS = STRICT_COMMENT_LETTERS + "".join(OTHER_BREAKS) + "".join(ODD_SPACES)
+
+FORMATS = {
+    "graph": (reference_read_graph, read_graph),
+    "digraph": (reference_read_digraph, read_digraph),
+    "coloring": (reference_read_coloring, read_coloring),
+}
+
+
+@st.composite
+def graph_texts(draw, kind: str) -> str:
+    """A text in one of the three formats, mostly well formed and in the
+    strict form, often with one fault, sometimes written with line
+    breaks, spaces or numbers only the line-by-line reader takes."""
+    strict = draw(st.integers(0, 2)) > 0
+    n = draw(st.integers(0, 6))
+    vertex = st.integers(1, n).map(str) if n else st.just("1")
+    if kind == "coloring":
+        colors = draw(st.integers(1, 3))
+        header = ["n", str(n), "c", str(colors)]
+        pairs = [[str(u), str(v)] for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        lines = [
+            (p if draw(st.booleans()) else p[::-1]) + [str(draw(st.integers(0, colors - 1)))]
+            for p in draw(st.permutations(pairs))
+        ]
+    else:
+        header = ["n", str(n)] if kind == "graph" else ["digraph", "n", str(n)]
+        ends = st.lists(st.tuples(vertex, vertex), max_size=12)
+        lines = [[u, v] if kind == "graph" else [u, "->", v] for u, v in draw(ends)]
+        if kind == "graph":
+            lines = [line for line in lines if line[0] != line[1] or draw(st.booleans())]
+    lines = [header] + lines
+    for _ in range(draw(st.integers(0, 2))):  # faults
+        # a strict text keeps its header unless it has no other line
+        i = draw(st.integers(0 if not strict else min(1, len(lines) - 1), len(lines) - 1))
+        faults = ("token", "drop", "copy", "repeat", "cut", "extra", "vertex")
+        fault = draw(st.sampled_from(faults))
+        if fault == "token" and not strict:
+            j = draw(st.integers(0, len(lines[i]) - 1))
+            lines[i][j] = draw(st.sampled_from(ODD_NUMBERS + ("n", "->", "c", str(n + 1))))
+        elif fault in ("token", "vertex"):
+            lines[i][0] = str(draw(st.sampled_from((0, n + 1, 10**17))))
+        elif fault == "drop" and len(lines) > 1:
+            del lines[draw(st.integers(1, len(lines) - 1))]
+        elif fault == "copy":
+            lines.insert(draw(st.integers(1, len(lines))), list(lines[i]))
+        elif fault == "repeat" and len(lines) > 2:  # one line in place of another
+            lines[draw(st.integers(1, len(lines) - 1))] = list(lines[i])
+        elif fault == "cut":
+            lines[i] = lines[i][:-1]
+        elif fault == "extra":
+            lines[i] = lines[i] + [draw(vertex)]
+    spaces = st.sampled_from((" ", "\t", "  ", " \t") if strict else (" ", "\t") + ODD_SPACES)
+    breaks = st.just("\n") if strict else st.sampled_from(("\n",) + OTHER_BREAKS)
+    comment_letters = STRICT_COMMENT_LETTERS if strict else COMMENT_LETTERS
+    comment = st.text(comment_letters, max_size=6).map(lambda t: "#" + t)
+    out = []
+    for line in [[]] * draw(st.integers(0, 2)) + lines:
+        sep = draw(spaces)
+        out.append(
+            draw(st.sampled_from(("", sep)))
+            + sep.join(line)
+            + draw(st.sampled_from(("", sep)))
+            + draw(st.one_of(st.just(""), comment))
+        )
+        if draw(st.integers(0, 5)) == 0:  # a blank or comment line
+            out.append(draw(st.sampled_from(("", sep))) + draw(st.one_of(st.just(""), comment)))
+    return "".join(line + draw(breaks) for line in out)[: None if draw(st.booleans()) else -1]
+
+
+class TestBulkReaders:
+    @pytest.mark.parametrize("kind", sorted(FORMATS))
+    @settings(max_examples=200, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_same_graph_or_same_error(self, kind, data):
+        text = data.draw(graph_texts(kind))
+        reference, reader = FORMATS[kind]
+        assert read_outcome(reader, text) == read_outcome(reference, text)
+
+    @pytest.mark.parametrize("kind", sorted(FORMATS))
+    @settings(max_examples=100, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_any_text_gives_the_same_graph_or_error(self, kind, data):
+        text = data.draw(st.text("n c digraph->0123#\t" + "".join(OTHER_BREAKS), max_size=40))
+        reference, reader = FORMATS[kind]
+        assert read_outcome(reader, text) == read_outcome(reference, text)
+
+    def test_strict_texts_skip_the_line_reader(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("line reader used")
+
+        for name in ("_read_graph_lines", "_read_digraph_lines", "_read_coloring_lines"):
+            monkeypatch.setattr(graphio, name, refuse)
+        d = random_tournament(30, random.Random(2)).digraph
+        text = "# a tournament\n\ndigraph n 30  # header\n" + write_digraph(d).split("\n", 1)[1]
+        assert read_digraph(text) == d
+        assert read_digraph(text.replace(" -> ", "\t->  ")).in_adj == d.in_adj
+        g = SimpleGraph(5, [(0, 1), (3, 4), (4, 0)])
+        assert read_graph(write_graph(g) + "# end") == g
+        col = EdgeColoring.from_function(6, 3, lambda u, v: (u + 2 * v) % 3)
+        assert read_coloring(write_coloring(col)) == col
+
+    def test_sparse_and_dense_rows_agree(self):
+        # a graph much sparser than its bit matrix is built pair by pair
+        for n, count in ((200, 3), (200, 5000), (1, 0), (0, 0)):
+            rng = random.Random(n + count)
+            arcs = [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
+            d = Digraph(n, arcs)
+            again = read_digraph(write_digraph(d))
+            assert (again.out_adj, again.in_adj) == (d.out_adj, d.in_adj)
+            g = SimpleGraph(n, [(u, v) for u, v in arcs if u != v])
+            assert read_graph(write_graph(g)) == g
+
+
+class TestSizeGuard:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "digraph n 10000000\n1 -> 2\n",
+            "n 10000000\n1 2\n",
+            "# through the line reader\ndigraph n +10000000\n1 -> 2\n",
+            "n 1_0000000\n1 2\n",
+        ],
+    )
+    def test_huge_header_refused_before_allocating(self, text):
+        read = read_digraph if "digraph" in text else read_graph
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="graph limit"):
+                read(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_the_limit_itself_is_read(self):
+        n = GRAPH_VERTEX_LIMIT
+        d = read_digraph(f"digraph n {n}\n1 -> {n}\n")
+        assert (d.vertex_count, d.arcs) == (n, frozenset({(0, n - 1)}))
+        g = read_graph(f"n {n}\n{n} 1\n")
+        assert (g.vertex_count, g.edges) == (n, frozenset({(0, n - 1)}))
 
 
 class TestGraphText:
