@@ -25,12 +25,14 @@ What the readers accept:
 - Graph and digraph headers of more than GRAPH_VERTEX_LIMIT vertices
   are refused before anything is allocated.
 
-Each reader first matches the whole text against a strict form of its
-format: \n line breaks, spaces and tabs, ASCII numbers of at most 18
-digits, and comments.  A text of that form is split, converted and
-range-checked as whole numpy arrays.  Any other text, or one that fails
-a check, goes through the line-by-line reader, which names the first
-bad line.  Both readers give the same result or the same error.
+Each reader first checks the whole text against a strict form of its
+format, with pattern searches for its header line and for any line
+that does not fit: \n line breaks, spaces and tabs, ASCII numbers of
+at most 18 digits, and comments.  A text of that form is split,
+converted and range-checked as whole numpy arrays.  Any other text, or
+one that fails a check, goes through the line-by-line reader, which
+names the first bad line.  Both readers give the same result or the
+same error.
 """
 
 from __future__ import annotations
@@ -71,37 +73,57 @@ _COMMENT = re.compile("#[^\n]*")
 
 
 @functools.cache  # compiled on first use: a program that reads no graph pays nothing
-def _strict_form(header: str, line: str) -> re.Pattern[str]:
+def _strict_form(header: str, line: str) -> tuple[re.Pattern[str], ...]:
     r"""The strict form of a format whose header and body lines have the
-    given fields, "N" standing for a number.
+    given fields, "N" standing for a number: patterns for the header
+    line, whose groups are its numbers, for a line break followed by a
+    line that is not blank, and for one followed by a line that is not
+    a body line.
 
     Blank and comment lines, then the header line, then lines that hold
     the line fields, a comment, both or neither.  Lines end at \n only,
     fields are separated by spaces and tabs, and a number is 1 to 18
-    ASCII digits, so it fits an int64.  The groups are the header's
-    numbers and then "body", the text after the header line.
+    ASCII digits, so it fits an int64.
+
+    Each pattern looks at one line at a time and matches a line in at
+    most one way: every run of blanks or digits and every optional part
+    is followed by a character it cannot take, so a choice the matcher
+    takes back fails at the next character.  The patterns use no
+    possessive quantifier or atomic group, which re accepts only from
+    Python 3.11 on.
     """
 
     def fields(spec: str, number: str) -> str:
-        return "[ \t]++".join(number if f == "N" else re.escape(f) for f in spec.split())
+        return "[ \t]+".join(number if f == "N" else re.escape(f) for f in spec.split())
 
-    rest = f"[ \t]*+(?:#[^{_LINE_BREAKS}]*+)?+"  # trailing blanks and a comment
-    body_line = f"[ \t]*+(?:{fields(line, '[0-9]{1,18}+')})?+{rest}"
-    return re.compile(
-        f"(?:{rest}\n)*+[ \t]*+{fields(header, '([0-9]{1,18}+)')}{rest}"
-        f"(?:\n(?P<body>(?:{body_line}\n)*+{body_line}))?+"
+    comment = f"(?:#[^{_LINE_BREAKS}]*)?"
+
+    def break_before_other_than(form: str) -> re.Pattern[str]:
+        # starting with a literal \n lets search skip from line to line
+        return re.compile(f"\n(?!{form}$)", re.MULTILINE)
+
+    return (
+        re.compile(f"^[ \t]*{fields(header, '([0-9]{1,18})')}[ \t]*{comment}$", re.MULTILINE),
+        break_before_other_than(f"[ \t]*{comment}"),
+        break_before_other_than(f"[ \t]*(?:{fields(line, '[0-9]{1,18}')}[ \t]*)?{comment}"),
     )
 
 
 def _bulk_fields(
-    form: re.Pattern[str], text: str, width: int
+    form: tuple[re.Pattern[str], ...], text: str, width: int
 ) -> tuple[list[int], np.ndarray] | None:
     """The header numbers and the body numbers, `width` to a row, of a
     text in the given strict form; None for any other text."""
-    match = form.fullmatch(text)
-    if match is None:
+    header_line, not_blank, not_body = form
+    head = header_line.search(text)
+    if (
+        head is None
+        or not_blank.search("\n" + text[: head.start()])
+        or not_body.search(text, head.end())
+    ):
         return None
-    *header, body = match.groups("")
+    header = head.groups()
+    body = text[head.end() :]
     if "#" in body:
         body = _COMMENT.sub("", body)
     body = body.replace("->", "  ")
@@ -296,15 +318,14 @@ def _node_names(n: int, names: Sequence[str] | None) -> list[str]:
 def _graph_dot_lines(
     g: SimpleGraph, names: Sequence[str] | None = None, title: str = "G"
 ) -> Iterator[str]:
-    """The text of graph_to_dot: the opening and node lines, then for each
-    vertex u with edges to higher vertices its edge lines, then the
-    closing line."""
-    ids = [f'"{name}"' for name in _node_names(g.vertex_count, names)]
-    yield f"graph {title} {{\n" + "".join([f"  {i};\n" for i in ids])
+    """The lines of graph_to_dot, each with its newline, one at a time."""
+    ids = _node_names(g.vertex_count, names)
+    yield f"graph {title} {{\n"
+    for v in range(g.vertex_count):
+        yield f'  "{ids[v]}";\n'
     for u, row in enumerate(g.adj):
-        if above := row >> u + 1:
-            head = f"  {ids[u]} -- "
-            yield "".join([f"{head}{ids[u + 1 + i]};\n" for i in _bit_indices(above)])
+        for i in _bit_indices(row >> u + 1):
+            yield f'  "{ids[u]}" -- "{ids[u + 1 + i]}";\n'
     yield "}\n"
 
 
@@ -318,24 +339,20 @@ def _digraph_dot_lines(
     title: str = "G",
     highlight: Iterable[tuple[int, int]] = (),
 ) -> Iterator[str]:
-    """The text of digraph_to_dot: the opening and node lines, then for
-    each vertex u with arcs its arc lines, then the closing line."""
+    """The lines of digraph_to_dot, each with its newline, one at a time."""
+    ids = _node_names(d.vertex_count, names)
     n = d.vertex_count
-    ids = [f'"{name}"' for name in _node_names(n, names)]
     marked = set(highlight)
     for u, v in marked:
         if not (0 <= u < n and 0 <= v < n and d.has_arc(u, v)):
             raise ValueError(f"cannot highlight missing arc ({u}, {v})")
-    yield f"digraph {title} {{\n" + "".join([f"  {i};\n" for i in ids])
+    yield f"digraph {title} {{\n"
+    for v in range(d.vertex_count):
+        yield f'  "{ids[v]}";\n'
     for u, row in enumerate(d.out_adj):
-        if row:
-            head = f"  {ids[u]} -> "
-            yield "".join(
-                [
-                    f"{head}{ids[v]}{' [color=red penwidth=2]' if (u, v) in marked else ''};\n"
-                    for v in _bit_indices(row)
-                ]
-            )
+        for v in _bit_indices(row):
+            attr = " [color=red penwidth=2]" if (u, v) in marked else ""
+            yield f'  "{ids[u]}" -> "{ids[v]}"{attr};\n'
     yield "}\n"
 
 

@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +146,9 @@ ODD_NUMBERS = (
 STRICT_COMMENT_LETTERS = "ab 1->#\t"
 COMMENT_LETTERS = STRICT_COMMENT_LETTERS + "".join(OTHER_BREAKS) + "".join(ODD_SPACES)
 
+# the header and line fields of the three formats, as the readers give them
+STRICT_FORMS = (("n N", "N N"), ("digraph n N", "N -> N"), ("n N c N", "N N N"))
+
 FORMATS = {
     "graph": (reference_read_graph, read_graph),
     "digraph": (reference_read_digraph, read_digraph),
@@ -251,6 +259,37 @@ class TestBulkReaders:
             assert (again.out_adj, again.in_adj) == (d.out_adj, d.in_adj)
             g = SimpleGraph(n, [(u, v) for u, v in arcs if u != v])
             assert read_graph(write_graph(g)) == g
+
+    def test_strict_forms_compile_before_python_311(self):
+        # possessive quantifiers (*+, ++, ?+, {m,n}+) and atomic groups
+        # are refused by re before Python 3.11
+        later_syntax = re.compile(r"[*+?}]\+|\(\?>")
+        for header, line in STRICT_FORMS:
+            for pattern in graphio._strict_form(header, line):
+                assert later_syntax.search(pattern.pattern) is None, pattern.pattern
+
+    def test_strict_forms_refuse_near_misses_in_linear_time(self):
+        # long runs that a pattern could split in many ways, each ending in
+        # a fault at the last character; a matcher that backtracked through
+        # the splits would not finish within the timeout
+        script = f"""
+from ordo import graphio
+texts = [
+    " \\t" * 100_000 + "x",
+    " \\t #\\n" * 100_000 + "x",
+    "n 9\\n" + " " * 200_000 + "x",
+    "n 9 c 3\\n" + "1  2  0  # \\n" * 50_000 + "1 2 0 1",
+    "digraph n 9\\n" + "1 \\t-> \\t2 \\t\\n" * 50_000 + "1 -> 2 ->",
+    "n 9\\n" + "1 2\\n" * 50_000 + "1" * 100_000 + " 2",
+]
+for header, line in {STRICT_FORMS!r}:
+    form = graphio._strict_form(header, line)
+    width = len(line.split()) - line.count("->")
+    for text in texts:
+        assert graphio._bulk_fields(form, text, width) is None
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(graphio.__file__).parent.parent)}
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)
 
 
 class TestSizeGuard:
