@@ -6,7 +6,10 @@ neighborhood intersection needed by the clique search is a single `&`.
 The bitsets are the only stored form: `SimpleGraph.edges`,
 `Digraph.arcs`, the counts, equality and hashing are derived from them
 on demand.  Every k-clique search in the package (find_clique, the
-Ramsey check, the disjoint-family maximum) runs through `_clique_in`.
+Ramsey check, the disjoint-family maximum) runs through `_clique_in`,
+which prunes by candidate count and, for cliques of 3 or more, by a
+greedy colouring of the candidates; it still returns the
+lexicographically smallest clique.
 All types are immutable after construction and every function is pure.
 """
 
@@ -363,11 +366,8 @@ def complete_graph(n: int) -> SimpleGraph:
 
 def complement(g: SimpleGraph) -> SimpleGraph:
     """Edges become non-edges and vice versa; together they tile K_n."""
-    n = g.vertex_count
-    edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)
-    ]
-    return SimpleGraph(n, edges)
+    everyone = (1 << g.vertex_count) - 1
+    return SimpleGraph._from_rows([everyone ^ 1 << u ^ row for u, row in enumerate(g.adj)])
 
 
 def complete_multipartite(part_sizes: list[int]) -> SimpleGraph:
@@ -396,10 +396,27 @@ def _clique_in(adj: Sequence[int], cand: int, size: int) -> tuple[int, ...] | No
     Candidates are tried in ascending order and each choice narrows the
     rest to its neighbours above it, so the first clique completed is
     the smallest.  A branch stops once fewer than `size` candidates
-    remain.
+    remain, or, for size >= 3, once a greedy colouring of the candidates
+    (Tomita and Seki's MCQ bound) needs fewer than `size` colours: a
+    colour class takes the lowest uncoloured candidate, then the lowest
+    one adjacent to none already in the class, and so on, and a clique
+    has at most one vertex per class.  Both tests cut only branches that
+    hold no clique of `size`, so the first clique found is unchanged.
+    Below size 3 one colour class costs as much as the search it would
+    save.
     """
     if size <= 0:
         return ()
+    if size >= 3 and cand.bit_count() >= size:
+        uncoloured = cand
+        for _ in range(size - 1):
+            pool = uncoloured
+            while pool:
+                low = pool & -pool
+                uncoloured ^= low
+                pool ^= low | (pool & adj[low.bit_length() - 1])
+            if not uncoloured:
+                return None
     while cand.bit_count() >= size:
         low = cand & -cand
         v = low.bit_length() - 1

@@ -6,7 +6,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ordo import graphs, ramsey
 from ordo.graphs import (
     Digraph,
     EdgeColoring,
@@ -23,6 +26,7 @@ from ordo.graphs import (
     max_edges_without_clique_oracle,
     random_tournament,
 )
+from ordo.turan import turan_extremal_graph
 
 
 def _random_graph(n: int, rng: random.Random) -> SimpleGraph:
@@ -78,6 +82,16 @@ class TestSimpleGraph:
             h = complement(g)
             assert not (g.edges & h.edges)
             assert g.edges | h.edges == complete_graph(n).edges
+
+    def test_complement_rows_match_pair_list_construction(self):
+        # the rows carry no loop bit and no bit past the last vertex
+        rng = random.Random(9)
+        for n in (0, 1, 2, 7, 8, 9, 17):
+            for _ in range(10):
+                g = _random_graph(n, rng)
+                pairs = itertools.combinations(range(n), 2)
+                pairs = [(u, v) for u, v in pairs if not g.has_edge(u, v)]
+                assert complement(g).adj == SimpleGraph(n, pairs).adj
 
 
 class TestMultipartite:
@@ -160,6 +174,120 @@ class TestCliques:
                 assert all(
                     g.has_edge(u, v) for u, v in itertools.combinations(witness, 2)
                 )
+
+
+def _unbounded_clique_in(adj, cand: int, size: int) -> tuple[int, ...] | None:
+    """The clique search without the colour bound: the reference the
+    bounded `_clique_in` must agree with on every input."""
+    if size <= 0:
+        return ()
+    while cand.bit_count() >= size:
+        low = cand & -cand
+        v = low.bit_length() - 1
+        if size == 1:
+            return (v,)
+        cand ^= low
+        rest = _unbounded_clique_in(adj, cand & adj[v], size - 1)
+        if rest is not None:
+            return (v,) + rest
+    return None
+
+
+def _relabelled(g: SimpleGraph, perm: list[int]) -> SimpleGraph:
+    """g with vertex u renamed perm[u]."""
+    return SimpleGraph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _paley_graph(q: int) -> SimpleGraph:
+    """Paley graph of a prime q = 1 mod 4: u ~ v iff u - v is a nonzero square."""
+    squares = {x * x % q for x in range(1, q)}
+    return SimpleGraph(q, [(u, v) for u in range(q) for v in range(u + 1, q) if v - u in squares])
+
+
+def _assert_matches_reference(g: SimpleGraph, cand: int | None = None) -> None:
+    cand = (1 << g.vertex_count) - 1 if cand is None else cand
+    for size in range(g.vertex_count + 2):
+        got = graphs._clique_in(g.adj, cand, size)
+        assert got == _unbounded_clique_in(g.adj, cand, size), (g.adj, cand, size)
+
+
+@st.composite
+def random_graphs(draw, max_n: int = 12) -> SimpleGraph:
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return SimpleGraph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+class TestColourBound:
+    """The bounded clique search against the unbounded reference."""
+
+    @settings(max_examples=300, derandomize=True, database=None)
+    @given(random_graphs(), st.integers(0, 2**12 - 1))
+    def test_random_graphs(self, g, cand_bits):
+        _assert_matches_reference(g)
+        _assert_matches_reference(g, cand_bits & (1 << g.vertex_count) - 1)
+
+    @settings(max_examples=200, derandomize=True, database=None)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=5), st.randoms(use_true_random=False))
+    def test_shuffled_multipartite(self, sizes, rng):
+        n = sum(sizes)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = _relabelled(complete_multipartite(sizes), perm)
+        _assert_matches_reference(g)
+        # greedy colouring gives a complete k-partite graph exactly k
+        # colours in any vertex order, so a (k+1)-clique is refused at the root
+        assert graphs._clique_in(g.adj, (1 << n) - 1, len(sizes) + 1) is None
+
+    @settings(max_examples=60, derandomize=True, database=None)
+    @given(
+        st.sampled_from([ramsey.andrasfai_graph(k) for k in range(1, 6)])
+        | st.sampled_from([_paley_graph(q) for q in (5, 13, 17)]),
+        st.randoms(use_true_random=False),
+    )
+    def test_andrasfai_and_paley(self, g, rng):
+        perm = list(range(g.vertex_count))
+        rng.shuffle(perm)
+        for h in (g, _relabelled(g, perm), complement(g)):
+            _assert_matches_reference(h)
+
+    def test_paley_17_clique_number(self):
+        # Paley(17) witnesses R(4, 4) > 17: no K_4 in it or its complement
+        g = _paley_graph(17)
+        assert find_clique(g, 3) is not None and find_clique(g, 4) is None
+        assert find_independent_set(g, 4) is None
+
+
+@pytest.fixture
+def clique_calls(monkeypatch):
+    """A counter of `_clique_in` calls: top-level ones and the recursion."""
+    calls = [0]
+    inner = graphs._clique_in
+
+    def counted(adj, cand, size):
+        calls[0] += 1
+        return inner(adj, cand, size)
+
+    for module in (graphs, ramsey):
+        monkeypatch.setattr(module, "_clique_in", counted)
+    return calls
+
+
+class TestCliqueCallCounts:
+    """Machine-independent pins on the work of the clique search."""
+
+    def test_turan_search_that_must_fail_stops_at_root(self, clique_calls):
+        # 544,320 calls without the colour bound
+        assert find_clique(turan_extremal_graph(50, 6), 7) is None
+        assert clique_calls[0] == 1
+
+    @pytest.mark.parametrize("n, calls, holds", [(8, 1_596, False), (9, 135_218, True)])
+    def test_ramsey_3_4_tree_unchanged(self, clique_calls, n, calls, holds):
+        # the Ramsey (3, 4) check asks for cliques of sizes 1 and 2 only,
+        # below the colour bound's size >= 3
+        assert ramsey.exhaustive_ramsey_check(3, 4, n)[0] is holds
+        assert clique_calls[0] == calls
 
 
 class TestOracle:

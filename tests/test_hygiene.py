@@ -1,4 +1,4 @@
-"""Source hygiene: no module-level import goes unused."""
+"""Source hygiene: every file parses as Python 3.10, no module-level import goes unused."""
 
 from __future__ import annotations
 
@@ -41,3 +41,12 @@ def test_no_unused_module_imports(path):
         f"{name} (line {line})" for name, line in _imported_names(tree).items() if name not in used
     )
     assert not unused, f"unused imports: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_parses_as_python_3_10(path):
+    """The package says `requires-python = ">=3.10"`: no file may use
+    syntax a 3.10 parser refuses (`except*`, PEP 695 type parameters,
+    ...).  Syntax only: a stdlib function or a regex feature that 3.10
+    lacks is not caught here."""
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
