@@ -15,6 +15,7 @@ All types are immutable after construction and every function is pure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from typing import Iterable, Iterator, Sequence
@@ -457,13 +458,34 @@ def _popcount_u32(a: np.ndarray) -> np.ndarray:
     return (a * np.uint32(0x01010101)) >> 24
 
 
+@functools.lru_cache(maxsize=8)
+def _masks_by_edge_count(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every edge mask of an n-vertex graph, ascending by edge count, and
+    the level bounds: the masks with p edges are masks[bounds[p]:bounds[p + 1]].
+
+    Both arrays are read-only, since every caller shares them.
+    """
+    pairs = _pair_count(n)
+    counts = _popcount_u32(np.arange(1 << pairs, dtype=np.uint32)).astype(np.uint8)
+    # mask i is the number i, so the sorted masks are the sorting permutation
+    masks = np.argsort(counts, kind="stable").astype(np.uint32)
+    bounds = np.zeros(pairs + 2, dtype=np.int64)
+    np.cumsum(np.bincount(counts, minlength=pairs + 1), out=bounds[1:])
+    masks.flags.writeable = False
+    bounds.flags.writeable = False
+    return masks, bounds
+
+
 def max_edges_without_clique_oracle(n: int, k: int) -> int:
     """Exact maximum edge count of an n-vertex graph containing no K_{k+1}.
 
-    Brute force over all 2^C(n,2) labeled graphs, each encoded as an
-    edge bitmask.  A graph is bad iff its mask covers the edge mask of
-    some (k+1)-vertex subset; the covering tests run vectorized so the
-    n=7 worst case (2^21 graphs) stays under a second.
+    Brute force over the 2^C(n,2) labeled graphs, each encoded as an
+    edge bitmask; a graph holds K_{k+1} iff its mask covers the edge mask
+    of some (k+1)-vertex subset.  The masks are tested one edge count at
+    a time from C(n,2) down, each dropped at the first clique mask it
+    covers, and the first level where a graph survives is the answer:
+    every denser graph was shown to hold K_{k+1} and the survivor to be
+    free of it.  Independent of the Turan formula it checks.
     """
     if n > 7:
         raise ValueError("oracle limit: n must be <= 7")
@@ -471,36 +493,52 @@ def max_edges_without_clique_oracle(n: int, k: int) -> int:
         raise ValueError("need n >= 0 and k >= 1")
     pairs = list(itertools.combinations(range(n), 2))
     index = {p: i for i, p in enumerate(pairs)}
-    masks = np.arange(1 << len(pairs), dtype=np.uint32)
-    bad = np.zeros(masks.shape, dtype=bool)
-    for subset in itertools.combinations(range(n), k + 1):
-        smask = np.uint32(0)
-        for p in itertools.combinations(subset, 2):
-            smask |= np.uint32(1 << index[p])
-        bad |= (masks & smask) == smask
-    good = masks[~bad]
-    if good.size == 0:  # cannot happen: the empty graph is always good
-        raise AssertionError("no clique-free graph found")
-    return int(_popcount_u32(good).max())
+    cliques = [
+        np.uint32(sum(1 << index[p] for p in itertools.combinations(subset, 2)))
+        for subset in itertools.combinations(range(n), k + 1)
+    ]
+    masks, bounds = _masks_by_edge_count(n)
+    for edges in range(len(pairs), -1, -1):
+        left = masks[bounds[edges] : bounds[edges + 1]]
+        for c in cliques:
+            left = left[(left & c) != c]
+            if not left.size:
+                break
+        if left.size:
+            return edges
+    raise AssertionError("no clique-free graph found")  # the empty graph is one
+
+
+# byte -> ASCII digit of its top bit
+_TOP_BIT_DIGIT = bytes.maketrans(bytes(range(256)), b"0" * 128 + b"1" * 128)
 
 
 def random_tournament(n: int, rng: random.Random) -> Tournament:
     """Uniformly random orientation of K_n.
 
-    One rng.getrandbits(1) per pair, pairs in lexicographic order: a set
-    bit orients {u, v} (u < v) as u -> v.
+    The stream of one rng.getrandbits(1) per pair, pairs in lexicographic
+    order: a set bit orients {u, v} (u < v) as u -> v.  It is drawn in
+    one call: getrandbits(1) is the top bit of one 32-bit output, and
+    getrandbits(32 m) is m such outputs, the first in the lowest four
+    bytes, so the bits and the rng's final state are the same.
     """
-    getrandbits = rng.getrandbits
-    rows = [0] * n
-    for u in range(n):
-        bit_u = 1 << u
-        row = rows[u]  # u's arcs to the vertices before it, set by their pairs
-        for v in range(u + 1, n):
-            if getrandbits(1):
-                row |= 1 << v
-            else:
-                rows[v] |= bit_u
-        rows[u] = row
+    if n < 2:
+        return Tournament(Digraph.from_rows([0] * n))
+    m = _pair_count(n)
+    # pair i's bit is the top bit of byte 4i + 3; as ASCII digits, last pair
+    # first, row u's pairs (u, n-1) .. (u, u+1) read as one binary numeral
+    bits = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
+    digits = bits[3::4].translate(_TOP_BIT_DIGIT)[::-1]
+    upper = []
+    end = m
+    for u in range(n - 1):
+        start = end - (n - 1 - u)
+        upper.append(int(digits[start:end], 2) << (u + 1))
+        end = start
+    upper.append(0)
+    # and u beats each earlier vertex that does not beat it
+    beaten_by = _transpose(tuple(upper))
+    rows = [row | (((1 << u) - 1) ^ by) for u, (row, by) in enumerate(zip(upper, beaten_by))]
     return Tournament(Digraph.from_rows(rows))
 
 

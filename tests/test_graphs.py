@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -308,6 +310,46 @@ class TestOracle:
         with pytest.raises(ValueError):
             max_edges_without_clique_oracle(5, 0)
 
+    def test_matches_covering_oracle(self):
+        for n in range(8):
+            for k in range(1, n + 2):
+                assert max_edges_without_clique_oracle(n, k) == _covering_oracle(n, k), (n, k)
+
+    def test_levels_hold_every_mask_once_by_edge_count(self):
+        for n in range(8):
+            pairs = n * (n - 1) // 2
+            masks, bounds = graphs._masks_by_edge_count(n)
+            assert sorted(masks.tolist()) == list(range(1 << pairs))
+            assert bounds[0] == 0 and len(bounds) == pairs + 2
+            for p in range(pairs + 1):
+                level = masks[bounds[p] : bounds[p + 1]].tolist()
+                assert len(level) == math.comb(pairs, p)
+                assert all(mask.bit_count() == p for mask in level)
+                assert level == sorted(level)
+
+    def test_cached_levels_are_read_only(self):
+        masks, bounds = graphs._masks_by_edge_count(4)
+        with pytest.raises(ValueError):
+            masks[0] = 1
+        with pytest.raises(ValueError):
+            bounds[1] = 0
+        assert graphs._masks_by_edge_count(4)[0][0] == 0
+
+
+def _covering_oracle(n: int, k: int) -> int:
+    """The all-graphs oracle max_edges_without_clique_oracle replaced:
+    every edge mask against every (k+1)-subset's mask, then the largest
+    edge count among the masks that cover none."""
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    masks = np.arange(1 << len(pairs), dtype=np.uint32)
+    bad = np.zeros(masks.shape, dtype=bool)
+    for subset in itertools.combinations(range(n), k + 1):
+        smask = np.uint32(sum(1 << index[p] for p in itertools.combinations(subset, 2)))
+        bad |= (masks & smask) == smask
+    good = masks[~bad]
+    return int(np.unpackbits(good.view(np.uint8)).reshape(good.size, 32).sum(axis=1).max())
+
 
 class TestDigraph:
     def test_basics(self):
@@ -445,14 +487,16 @@ class TestTournament:
 
     def test_random_matches_arc_list_construction(self):
         # the same tournament from the same getrandbits stream, which is
-        # left in the same state
-        for seed in range(30):
-            for n in (0, 1, 2, 3, 5, 8, 9, 16, 17, 40):
-                rng, old_rng = random.Random(seed), random.Random(seed)
-                d = random_tournament(n, rng).digraph
-                old = _arc_list_random_tournament(n, old_rng).digraph
-                assert (d.out_adj, d.in_adj) == (old.out_adj, old.in_adj), (seed, n)
-                assert rng.random() == old_rng.random()
+        # left in the same state, drawn in one call
+        cases = [(seed, n) for seed in range(30) for n in (0, 1, 2, 3, 5, 8, 9, 16, 17, 40)]
+        cases += [(seed, n) for seed in range(2) for n in (100, 257, 1000)]
+        for seed, n in cases:
+            rng, old_rng = _CountingRandom(seed), random.Random(seed)
+            d = random_tournament(n, rng).digraph
+            old = _arc_list_random_tournament(n, old_rng).digraph
+            assert (d.out_adj, d.in_adj) == (old.out_adj, old.in_adj), (seed, n)
+            assert rng.getstate() == old_rng.getstate()
+            assert rng.calls == (1 if n >= 2 else 0), (seed, n)
 
     def test_all_tournaments(self):
         seen = {t.arcs for t in all_tournaments(3)}
@@ -468,6 +512,16 @@ class TestTournament:
                 for mask in range(1 << len(pairs))
             ]
             assert [t.arcs for t in all_tournaments(n)] == expected
+
+
+class _CountingRandom(random.Random):
+    """A Random that counts its getrandbits calls."""
+
+    calls = 0
+
+    def getrandbits(self, k: int) -> int:
+        self.calls += 1
+        return super().getrandbits(k)
 
 
 def _arc_list_random_tournament(n: int, rng: random.Random) -> Tournament:
