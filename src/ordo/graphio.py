@@ -8,31 +8,32 @@ File formats use 1-based vertex numbers; everything in memory is
     coloring:  header "n <vertices> c <colors>", then "u v color"
                lines covering every pair exactly once (colors 0-based)
 
-What the readers accept:
+The one accepted form, which is the form the writers emit:
 
-- Lines are those of str.splitlines: they end at \n, \r\n, \r, \x0b,
-  \x0c, \x1c, \x1d, \x1e, \x85, \u2028 or \u2029.
-- A '#' starts a comment that runs to the end of its line.  Lines that
-  are blank once the comment is cut off are skipped, and the first
-  other line is the header.
-- Fields are separated by runs of whitespace as str.split sees it:
-  spaces and tabs, but also \x1f, \xa0, \u3000 and the other Unicode
-  spaces.
-- A vertex number, a color or a header count is whatever int() takes:
-  an optional sign, ASCII or other Unicode decimal digits, leading
-  zeros, and single underscores between digits, so "+1", "01", "1_0"
-  and "\u0661" are all numbers.
-- Graph and digraph headers of more than GRAPH_VERTEX_LIMIT vertices
-  are refused before anything is allocated.
+- Lines end at \n or \r\n.
+- Fields are separated by spaces and tabs.
+- A number is 1 to 18 ASCII digits: no sign, no underscore, no other
+  digits.
+- A '#' starts a comment that runs to the end of its line.  A comment
+  may not hold \r or any other character str.splitlines ends a line
+  at, so what another program reads as a line never hides in one.
+- Blank and comment lines may stand anywhere; the first other line is
+  the header.
 
-Each reader first checks the whole text against a strict form of its
-format, with pattern searches for its header line and for any line
-that does not fit: \n line breaks, spaces and tabs, ASCII numbers of
-at most 18 digits, and comments.  A text of that form is split,
-converted and range-checked as whole numpy arrays.  Any other text, or
-one that fails a check, goes through the line-by-line reader, which
-names the first bad line.  Both readers give the same result or the
-same error.
+Each format has one reader: pattern searches for the header line and
+for a line that does not fit, then one numpy pass that reads every
+number and checks them as arrays.  Its ValueError names
+
+- for a missing header, or other text before it: the header line the
+  format needs;
+- for a line that does not fit: its number and its text;
+- for a vertex outside 1..n, a loop in a graph or a pair colored
+  twice: the first faulty row in file order;
+- for a coloring with fewer lines than pairs: the count missing.
+
+Graph and digraph headers of more than GRAPH_VERTEX_LIMIT vertices,
+and coloring headers with more pairs than the file has lines, are
+refused before anything of their size is allocated.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .graphs import (
     EdgeColoring,
     SimpleGraph,
     _bit_indices,
-    _pair_rank,
 )
 
 __all__ = [
@@ -67,7 +67,8 @@ __all__ = [
 
 DOT_PALETTE = ("blue", "red", "green", "orange", "purple", "brown", "cyan", "gray")
 
-# the characters str.splitlines ends a line at
+# the characters str.splitlines ends a line at; comments hold none of
+# them, or "n 3 # x\r1 2" would read here as a graph with no edges
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _COMMENT = re.compile("#[^\n]*")
 
@@ -109,20 +110,28 @@ def _strict_form(header: str, line: str) -> tuple[re.Pattern[str], ...]:
     )
 
 
-def _bulk_fields(
-    form: tuple[re.Pattern[str], ...], text: str, width: int
-) -> tuple[list[int], np.ndarray] | None:
-    """The header numbers and the body numbers, `width` to a row, of a
-    text in the given strict form; None for any other text."""
-    header_line, not_blank, not_body = form
+def _read_fields(
+    text: str, header: str, line: str, header_error: str, line_error: str
+) -> tuple[list[int], np.ndarray]:
+    r"""The header numbers and the body numbers, one row per body line, of
+    a text in the strict form of these fields.  A text
+    whose first line that is not blank is no header line raises
+    header_error; a later line that is not a body line raises
+    line_error, with the line's number and text.  \r\n ends a line as
+    \n does."""
+    if "\r" in text:  # a far quicker search than a replace that finds nothing
+        text = text.replace("\r\n", "\n")
+    header_line, not_blank, not_body = _strict_form(header, line)
     head = header_line.search(text)
-    if (
-        head is None
-        or not_blank.search("\n" + text[: head.start()])
-        or not_body.search(text, head.end())
-    ):
-        return None
-    header = head.groups()
+    if head is None or not_blank.search("\n" + text[: head.start()]):
+        raise ValueError(header_error)
+    bad = not_body.search(text, head.end())
+    if bad:
+        start = bad.end()
+        number = text.count("\n", 0, start) + 1
+        end = text.find("\n", start)
+        got = text[start : end if end >= 0 else len(text)]
+        raise ValueError(f"line {number}: {line_error}, got {got!r}")
     body = text[head.end() :]
     if "#" in body:
         body = _COMMENT.sub("", body)
@@ -132,11 +141,7 @@ def _bulk_fields(
         values = np.zeros(0, dtype=np.int64)
     else:
         values = np.fromstring(body, dtype=np.int64, sep=" ")
-    return [int(h) for h in header], values.reshape(-1, width)
-
-
-def _in_range(values: np.ndarray, n: int) -> bool:
-    return values.size == 0 or (values.min() >= 1 and values.max() <= n)
+    return [int(h) for h in head.groups()], values.reshape(-1, line.count("N"))
 
 
 def _check_vertex_count(n: int) -> None:
@@ -144,48 +149,29 @@ def _check_vertex_count(n: int) -> None:
         raise ValueError(f"graph limit: n must be <= {GRAPH_VERTEX_LIMIT}")
 
 
-def _content_lines(text: str) -> list[list[str]]:
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append(line.split())
-    return rows
-
-
-def _parse_vertex(token: str, n: int) -> int:
-    try:
-        v = int(token)
-    except ValueError:
-        raise ValueError(f"not a vertex number: {token!r}") from None
-    if not 1 <= v <= n:
-        raise ValueError(f"vertex {v} outside 1..{n}")
-    return v - 1
+def _check_vertices(values: np.ndarray, n: int) -> None:
+    """Refuse the first vertex number in row order outside 1..n."""
+    out = (values < 1) | (values > n)
+    if out.any():
+        raise ValueError(f"vertex {values.flat[out.argmax()]} outside 1..{n}")
 
 
 def read_graph(text: str) -> SimpleGraph:
-    bulk = _bulk_fields(_strict_form("n N", "N N"), text, 2)
-    if bulk is not None:
-        (n,), edges = bulk
-        _check_vertex_count(n)
-        us, vs = edges.T - 1
-        if _in_range(edges, n) and (us != vs).all():
-            return SimpleGraph._from_pairs(n, us, vs)
-    return _read_graph_lines(text)
-
-
-def _read_graph_lines(text: str) -> SimpleGraph:
-    rows = _content_lines(text)
-    if not rows or len(rows[0]) != 2 or rows[0][0] != "n":
-        raise ValueError('graph file must start with a header line "n <vertices>"')
-    n = int(rows[0][1])
+    (n,), edges = _read_fields(
+        text,
+        "n N",
+        "N N",
+        'graph file must start with a header line "n <vertices>"',
+        "edge line needs two vertices",
+    )
     _check_vertex_count(n)
-    edges = []
-    for row in rows[1:]:
-        if len(row) != 2:
-            raise ValueError(f"edge line needs two vertices, got {' '.join(row)!r}")
-        edges.append((_parse_vertex(row[0], n), _parse_vertex(row[1], n)))
-    return SimpleGraph(n, edges)
+    _check_vertices(edges, n)
+    us, vs = edges.T - 1
+    loops = us == vs
+    if loops.any():
+        i = loops.argmax()
+        raise ValueError(f"loop edge ({us[i]}, {vs[i]}) not allowed in a simple graph")
+    return SimpleGraph._from_pairs(n, us, vs)
 
 
 def _vertex_labels(n: int) -> list[str]:
@@ -208,28 +194,17 @@ def write_graph(g: SimpleGraph) -> str:
 
 
 def read_digraph(text: str) -> Digraph:
-    bulk = _bulk_fields(_strict_form("digraph n N", "N -> N"), text, 2)
-    if bulk is not None:
-        (n,), arcs = bulk
-        _check_vertex_count(n)
-        if _in_range(arcs, n):
-            tails, heads = arcs.T - 1
-            return Digraph._from_pairs(n, tails, heads)
-    return _read_digraph_lines(text)
-
-
-def _read_digraph_lines(text: str) -> Digraph:
-    rows = _content_lines(text)
-    if not rows or rows[0][:2] != ["digraph", "n"] or len(rows[0]) != 3:
-        raise ValueError('digraph file must start with a header line "digraph n <vertices>"')
-    n = int(rows[0][2])
+    (n,), arcs = _read_fields(
+        text,
+        "digraph n N",
+        "N -> N",
+        'digraph file must start with a header line "digraph n <vertices>"',
+        'arc line must look like "u -> v"',
+    )
     _check_vertex_count(n)
-    arcs = []
-    for row in rows[1:]:
-        if len(row) != 3 or row[1] != "->":
-            raise ValueError(f"arc line must look like \"u -> v\", got {' '.join(row)!r}")
-        arcs.append((_parse_vertex(row[0], n), _parse_vertex(row[2], n)))
-    return Digraph(n, arcs)
+    _check_vertices(arcs, n)
+    tails, heads = arcs.T - 1
+    return Digraph._from_pairs(n, tails, heads)
 
 
 def _digraph_lines(d: Digraph) -> Iterator[str]:
@@ -248,56 +223,39 @@ def write_digraph(d: Digraph) -> str:
 
 
 def read_coloring(text: str) -> EdgeColoring:
-    bulk = _bulk_fields(_strict_form("n N c N", "N N N"), text, 3)
-    if bulk is not None:
-        (n, color_count), lines = bulk
-        pair_count = n * (n - 1) // 2
-        if len(lines) == pair_count and _in_range(lines[:, :2], n):
-            ends = np.sort(lines[:, :2] - 1, axis=1)
-            u, v = ends.T
-            if (u != v).all():
-                rank = u * (2 * n - u - 1) // 2 + (v - u - 1)
-                if (np.bincount(rank, minlength=pair_count) == 1).all():
-                    # the constructor checks the colors, in pair order,
-                    # as it does for the line reader
-                    flat = np.empty(pair_count, dtype=np.int64)
-                    flat[rank] = lines[:, 2]
-                    return EdgeColoring(n, color_count, flat.tolist())
-    return _read_coloring_lines(text)
-
-
-def _read_coloring_lines(text: str) -> EdgeColoring:
-    rows = _content_lines(text)
-    if (
-        not rows
-        or len(rows[0]) != 4
-        or rows[0][0] != "n"
-        or rows[0][2] != "c"
-    ):
-        raise ValueError('coloring file must start with a header line "n <vertices> c <colors>"')
-    n = int(rows[0][1])
-    color_count = int(rows[0][3])
+    (n, color_count), lines = _read_fields(
+        text,
+        "n N c N",
+        "N N N",
+        'coloring file must start with a header line "n <vertices> c <colors>"',
+        'coloring line needs "u v color"',
+    )
     pair_count = n * (n - 1) // 2
-    lines = len(rows) - 1
-    if pair_count > lines:
+    if pair_count > len(lines):
         # refused before allocating; with enough lines, each one colors
         # a new pair or is caught as a repeat, so none can go missing
         raise ValueError(
-            f"at least {pair_count - lines} vertex pairs have no color "
-            f"(K_{n} has {pair_count} pairs, the file {lines} lines)"
+            f"at least {pair_count - len(lines)} vertex pairs have no color "
+            f"(K_{n} has {pair_count} pairs, the file {len(lines)} lines)"
         )
-    colors: list[int | None] = [None] * pair_count
-    for row in rows[1:]:
-        if len(row) != 3:
-            raise ValueError(f"coloring line needs \"u v color\", got {' '.join(row)!r}")
-        u = _parse_vertex(row[0], n)
-        v = _parse_vertex(row[1], n)
-        c = int(row[2])
-        i = _pair_rank(n, u, v)
-        if colors[i] is not None:
-            raise ValueError(f"pair ({u + 1}, {v + 1}) colored twice")
-        colors[i] = c
-    return EdgeColoring(n, color_count, colors)  # type: ignore[arg-type]
+    ends = lines[:, :2]
+    out = ((ends < 1) | (ends > n)).any(axis=1)
+    u, v = np.sort(ends - 1, axis=1).T
+    rank = u * (2 * n - u - 1) // 2 + (v - u - 1)  # garbage on a faulty row
+    repeat = np.ones(len(rank), dtype=bool)
+    repeat[np.unique(rank, return_index=True)[1]] = False
+    faulty = out | (u == v) | repeat
+    if faulty.any():
+        # a faulty row's garbage rank can mark only later rows repeats
+        row = ends[faulty.argmax()]
+        _check_vertices(row, n)
+        if row[0] == row[1]:
+            raise ValueError("pairs are between distinct vertices")
+        raise ValueError(f"pair ({row[0]}, {row[1]}) colored twice")
+    # the constructor checks the colors, in pair order
+    flat = np.empty(pair_count, dtype=np.int64)
+    flat[rank] = lines[:, 2]
+    return EdgeColoring(n, color_count, flat.tolist())
 
 
 def write_coloring(col: EdgeColoring) -> str:

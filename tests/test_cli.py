@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import io
 import json
+import random
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from ordo.cli import main
 from ordo.debruijn import DBParams, martin, word_decode
 from ordo.graphio import write_coloring, write_digraph
-from ordo.graphs import Tournament
+from ordo.graphs import Tournament, random_tournament
 from ordo.ramsey import k17_mod3_coloring
 from ordo.seedsearch import append_seed_cache, read_seed_cache
 
@@ -68,6 +70,15 @@ class TestRedei:
         code, _, err = run(capsys, "redei", "/nonexistent/file.txt")
         assert code == 2
         assert "error:" in err
+
+    def test_crlf_file_gives_the_same_path(self, tmp_path, capsys):
+        text = write_digraph(random_tournament(40, random.Random(7)).digraph)
+        lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        code, out, _ = run(capsys, "redei", str(lf))
+        assert code == 0 and len(out.split()) == 40
+        assert run(capsys, "redei", str(crlf)) == (code, out, "")
 
     def test_huge_header_refused(self, tmp_path, capsys):
         file = tmp_path / "huge.txt"
@@ -399,7 +410,7 @@ class TestReproduce:
         )
         assert code == 3
         assert "skipped" in out
-        doc = json.loads(open(out_file).read())
+        doc = json.loads(Path(out_file).read_text())
         assert doc["exit_code"] == 3
         assert doc["tier"] == "quick"
 

@@ -38,83 +38,109 @@ from ordo.graphs import (
 )
 
 
-# --- the line-by-line readers, kept as the oracle of the bulk readers ---
+# --- line-by-line readers, kept as the oracle of the readers ---
 
 
-def reference_lines(text: str) -> list[list[str]]:
+def reference_lines(text: str) -> list[tuple[int, str, list[str]]]:
+    """The number, text and fields of each line that is not blank once
+    its comment is cut off."""
     rows = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            rows.append(line.split())
+            rows.append((number, raw, line.split()))
     return rows
 
 
-def reference_vertex(token: str, n: int) -> int:
-    try:
-        v = int(token)
-    except ValueError:
-        raise ValueError(f"not a vertex number: {token!r}") from None
+def reference_numbers(fields: list[str], shape: str) -> list[int] | None:
+    """The numbers of fields laid out as shape, "N" standing for a
+    number; None for fields laid out otherwise."""
+    if len(fields) != len(shape.split()):
+        return None
+    numbers = []
+    for field, want in zip(fields, shape.split()):
+        if want != "N":
+            if field != want:
+                return None
+            continue
+        try:
+            numbers.append(int(field))
+        except ValueError:
+            return None
+    return numbers
+
+
+def reference_rows(
+    text: str, header: str, line: str, header_error: str, line_error: str
+) -> tuple[list[int], list[list[int]]]:
+    """The header numbers and each body line's numbers; every line's
+    layout is checked before any number's value."""
+    rows = reference_lines(text)
+    head = reference_numbers(rows[0][2], header) if rows else None
+    if head is None:
+        raise ValueError(header_error)
+    body = []
+    for number, raw, fields in rows[1:]:
+        numbers = reference_numbers(fields, line)
+        if numbers is None:
+            raise ValueError(f"line {number}: {line_error}, got {raw!r}")
+        body.append(numbers)
+    return head, body
+
+
+def reference_vertex(v: int, n: int) -> int:
     if not 1 <= v <= n:
         raise ValueError(f"vertex {v} outside 1..{n}")
     return v - 1
 
 
 def reference_guard(n: int) -> None:
-    # the one change to the line readers: graph and digraph headers are
-    # checked against the vertex limit before anything is allocated
     if n > GRAPH_VERTEX_LIMIT:
         raise ValueError(f"graph limit: n must be <= {GRAPH_VERTEX_LIMIT}")
 
 
 def reference_read_graph(text: str) -> SimpleGraph:
-    rows = reference_lines(text)
-    if not rows or len(rows[0]) != 2 or rows[0][0] != "n":
-        raise ValueError('graph file must start with a header line "n <vertices>"')
-    n = int(rows[0][1])
+    (n,), rows = reference_rows(
+        text,
+        "n N",
+        "N N",
+        'graph file must start with a header line "n <vertices>"',
+        "edge line needs two vertices",
+    )
     reference_guard(n)
-    edges = []
-    for row in rows[1:]:
-        if len(row) != 2:
-            raise ValueError(f"edge line needs two vertices, got {' '.join(row)!r}")
-        edges.append((reference_vertex(row[0], n), reference_vertex(row[1], n)))
-    return SimpleGraph(n, edges)
+    return SimpleGraph(n, [(reference_vertex(u, n), reference_vertex(v, n)) for u, v in rows])
 
 
 def reference_read_digraph(text: str) -> Digraph:
-    rows = reference_lines(text)
-    if not rows or rows[0][:2] != ["digraph", "n"] or len(rows[0]) != 3:
-        raise ValueError('digraph file must start with a header line "digraph n <vertices>"')
-    n = int(rows[0][2])
+    (n,), rows = reference_rows(
+        text,
+        "digraph n N",
+        "N -> N",
+        'digraph file must start with a header line "digraph n <vertices>"',
+        'arc line must look like "u -> v"',
+    )
     reference_guard(n)
-    arcs = []
-    for row in rows[1:]:
-        if len(row) != 3 or row[1] != "->":
-            raise ValueError(f"arc line must look like \"u -> v\", got {' '.join(row)!r}")
-        arcs.append((reference_vertex(row[0], n), reference_vertex(row[2], n)))
-    return Digraph(n, arcs)
+    return Digraph(n, [(reference_vertex(u, n), reference_vertex(v, n)) for u, v in rows])
 
 
 def reference_read_coloring(text: str) -> EdgeColoring:
-    rows = reference_lines(text)
-    if not rows or len(rows[0]) != 4 or rows[0][0] != "n" or rows[0][2] != "c":
-        raise ValueError('coloring file must start with a header line "n <vertices> c <colors>"')
-    n = int(rows[0][1])
-    color_count = int(rows[0][3])
+    (n, color_count), rows = reference_rows(
+        text,
+        "n N c N",
+        "N N N",
+        'coloring file must start with a header line "n <vertices> c <colors>"',
+        'coloring line needs "u v color"',
+    )
     pair_count = n * (n - 1) // 2
-    lines = len(rows) - 1
-    if pair_count > lines:
+    if pair_count > len(rows):
         raise ValueError(
-            f"at least {pair_count - lines} vertex pairs have no color "
-            f"(K_{n} has {pair_count} pairs, the file {lines} lines)"
+            f"at least {pair_count - len(rows)} vertex pairs have no color "
+            f"(K_{n} has {pair_count} pairs, the file {len(rows)} lines)"
         )
     colors: list[int | None] = [None] * pair_count
-    for row in rows[1:]:
-        if len(row) != 3:
-            raise ValueError(f"coloring line needs \"u v color\", got {' '.join(row)!r}")
-        u = reference_vertex(row[0], n)
-        v = reference_vertex(row[1], n)
-        c = int(row[2])
+    for a, b, c in rows:
+        u = reference_vertex(a, n)
+        v = reference_vertex(b, n)
         i = _pair_rank(n, u, v)
         if colors[i] is not None:
             raise ValueError(f"pair ({u + 1}, {v + 1}) colored twice")
@@ -137,7 +163,7 @@ def read_outcome(read, text: str):
 
 
 # what str.splitlines ends a line at besides \n; str.split's whitespace
-# outside spaces and tabs; numbers int() reads that the strict form does not
+# outside spaces and tabs; numbers int() reads that the file form does not
 OTHER_BREAKS = ("\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 ODD_SPACES = ("\x1f", "\xa0", "\u3000", "\u2003")
 ODD_NUMBERS = (
@@ -145,6 +171,34 @@ ODD_NUMBERS = (
 )
 STRICT_COMMENT_LETTERS = "ab 1->#\t"
 COMMENT_LETTERS = STRICT_COMMENT_LETTERS + "".join(OTHER_BREAKS) + "".join(ODD_SPACES)
+STRICT_FIELD = re.compile("[0-9]{1,18}|n|c|digraph|->")
+
+
+def in_strict_form(text: str) -> bool:
+    """Whether a text keeps to the file form the readers accept, with \n
+    line ends: no other line break, and outside comments only spaces,
+    tabs, the formats' words and numbers of 1 to 18 ASCII digits."""
+    if any(b in text for b in OTHER_BREAKS):
+        return False
+    for line in text.split("\n"):
+        content = line.split("#", 1)[0].strip(" \t")
+        if content and not all(STRICT_FIELD.fullmatch(f) for f in re.split("[ \t]+", content)):
+            return False
+    return True
+
+
+def check_against_the_oracle(kind: str, text: str) -> None:
+    """A text in the file form, and its \r\n twin, give the oracle's graph
+    or its exact message; any other text gives a ValueError or the
+    oracle's graph."""
+    reference, reader = FORMATS[kind]
+    if in_strict_form(text):
+        for twin in (text, text.replace("\n", "\r\n")):
+            assert read_outcome(reader, twin) == read_outcome(reference, twin)
+    else:
+        outcome = read_outcome(reader, text)
+        assert outcome[0] == "error" or outcome == read_outcome(reference, text)
+
 
 # the header and line fields of the three formats, as the readers give them
 STRICT_FORMS = (("n N", "N N"), ("digraph n N", "N -> N"), ("n N c N", "N N N"))
@@ -159,8 +213,8 @@ FORMATS = {
 @st.composite
 def graph_texts(draw, kind: str) -> str:
     """A text in one of the three formats, mostly well formed and in the
-    strict form, often with one fault, sometimes written with line
-    breaks, spaces or numbers only the line-by-line reader takes."""
+    file form, often with one fault, sometimes written with line
+    breaks, spaces or numbers that only int() and str.splitlines take."""
     strict = draw(st.integers(0, 2)) > 0
     n = draw(st.integers(0, 6))
     vertex = st.integers(1, n).map(str) if n else st.just("1")
@@ -222,32 +276,33 @@ class TestBulkReaders:
     @settings(max_examples=200, derandomize=True, database=None)
     @given(data=st.data())
     def test_same_graph_or_same_error(self, kind, data):
-        text = data.draw(graph_texts(kind))
-        reference, reader = FORMATS[kind]
-        assert read_outcome(reader, text) == read_outcome(reference, text)
+        check_against_the_oracle(kind, data.draw(graph_texts(kind)))
 
     @pytest.mark.parametrize("kind", sorted(FORMATS))
     @settings(max_examples=100, derandomize=True, database=None)
     @given(data=st.data())
     def test_any_text_gives_the_same_graph_or_error(self, kind, data):
-        text = data.draw(st.text("n c digraph->0123#\t" + "".join(OTHER_BREAKS), max_size=40))
-        reference, reader = FORMATS[kind]
-        assert read_outcome(reader, text) == read_outcome(reference, text)
+        pieces = ("n", "c", "digraph", "->", "-", ">", "0", "1", "2", "3", "#", " ", "\t", "\n")
+        alphabet = data.draw(st.sampled_from((pieces, pieces + OTHER_BREAKS)))
+        text = "".join(data.draw(st.lists(st.sampled_from(alphabet), max_size=40)))
+        check_against_the_oracle(kind, text)
 
-    def test_strict_texts_skip_the_line_reader(self, monkeypatch):
-        def refuse(text):
-            raise AssertionError("line reader used")
-
-        for name in ("_read_graph_lines", "_read_digraph_lines", "_read_coloring_lines"):
-            monkeypatch.setattr(graphio, name, refuse)
-        d = random_tournament(30, random.Random(2)).digraph
-        text = "# a tournament\n\ndigraph n 30  # header\n" + write_digraph(d).split("\n", 1)[1]
-        assert read_digraph(text) == d
-        assert read_digraph(text.replace(" -> ", "\t->  ")).in_adj == d.in_adj
-        g = SimpleGraph(5, [(0, 1), (3, 4), (4, 0)])
-        assert read_graph(write_graph(g) + "# end") == g
-        col = EdgeColoring.from_function(6, 3, lambda u, v: (u + 2 * v) % 3)
-        assert read_coloring(write_coloring(col)) == col
+    @pytest.mark.parametrize("brk", ["\r", "\x1c", "\u2028"])
+    def test_other_line_breaks_within_a_line_are_refused(self, brk):
+        # read as a line end, the break would hide the rest of the line in
+        # a comment, or split one bad line into two good ones
+        texts = {
+            read_graph: "n 3\n1 2\n2 3\n",
+            read_digraph: "digraph n 3\n1 -> 2\n2 -> 3\n",
+            read_coloring: "n 3 c 2\n1 2 0\n1 3 1\n2 3 0\n",
+        }
+        for read, text in texts.items():
+            header, first, rest = text.split("\n", 2)
+            for joint in (" # a" + brk, brk):
+                with pytest.raises(ValueError, match="^line 2: "):
+                    read(f"{header}\n{first}{joint}{rest}")
+            with pytest.raises(ValueError, match="header"):
+                read(f"{header} # a{brk}{first}{brk}")
 
     def test_sparse_and_dense_rows_agree(self):
         # a graph much sparser than its bit matrix is built pair by pair
@@ -279,14 +334,17 @@ texts = [
     " \\t #\\n" * 100_000 + "x",
     "n 9\\n" + " " * 200_000 + "x",
     "n 9 c 3\\n" + "1  2  0  # \\n" * 50_000 + "1 2 0 1",
+    "n 9 c 3\\r\\n" + "1 2 0 #\\r\\n" * 50_000 + "1 2 0\\r\\r\\n",
     "digraph n 9\\n" + "1 \\t-> \\t2 \\t\\n" * 50_000 + "1 -> 2 ->",
     "n 9\\n" + "1 2\\n" * 50_000 + "1" * 100_000 + " 2",
 ]
 for header, line in {STRICT_FORMS!r}:
-    form = graphio._strict_form(header, line)
-    width = len(line.split()) - line.count("->")
     for text in texts:
-        assert graphio._bulk_fields(form, text, width) is None
+        try:
+            graphio._read_fields(text, header, line, "no header", "not a body line")
+        except ValueError:
+            continue
+        raise AssertionError((header, text[:20]))
 """
         env = {**os.environ, "PYTHONPATH": str(Path(graphio.__file__).parent.parent)}
         subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)
@@ -304,9 +362,11 @@ class TestSizeGuard:
     )
     def test_huge_header_refused_before_allocating(self, text):
         read = read_digraph if "digraph" in text else read_graph
+        # a sign or an underscore makes no number of the file form
+        match = "header" if re.search("[+_]", text) else "graph limit"
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="graph limit"):
+            with pytest.raises(ValueError, match=match):
                 read(text)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -355,11 +415,13 @@ class TestGraphText:
             read_graph("1 2\n")
         with pytest.raises(ValueError, match="header"):
             read_graph("")
+        with pytest.raises(ValueError, match="header"):
+            read_graph("# a graph\n1 2\nn 3\n")
 
     def test_vertex_errors(self):
         with pytest.raises(ValueError, match="outside 1..3"):
             read_graph("n 3\n1 4\n")
-        with pytest.raises(ValueError, match="not a vertex number"):
+        with pytest.raises(ValueError, match="line 2: edge line needs two vertices"):
             read_graph("n 3\n1 x\n")
         with pytest.raises(ValueError, match="two vertices"):
             read_graph("n 3\n1 2 3\n")
@@ -429,7 +491,8 @@ class TestColoringText:
         assert read_coloring(write_coloring(col)) == col
 
     def test_double_coloring_detected(self):
-        with pytest.raises(ValueError, match="colored twice"):
+        # the message names the later of the two lines, as it is written
+        with pytest.raises(ValueError, match=r"^pair \(2, 1\) colored twice$"):
             read_coloring("n 2 c 2\n1 2 0\n2 1 1\n")
 
     def test_missing_pairs_detected(self):
