@@ -26,7 +26,8 @@ number and checks them as arrays.  Its ValueError names
 
 - for a missing header, or other text before it: the header line the
   format needs;
-- for a line that does not fit: its number and its text;
+- for a line that does not fit: its number and its text, cut to its
+  first 80 characters;
 - for a vertex outside 1..n, a loop in a graph or a pair colored
   twice: the first faulty row in file order;
 - for a coloring with fewer lines than pairs: the count missing.
@@ -71,6 +72,8 @@ DOT_PALETTE = ("blue", "red", "green", "orange", "purple", "brown", "cyan", "gra
 # them, or "n 3 # x\r1 2" would read here as a graph with no edges
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _COMMENT = re.compile("#[^\n]*")
+# the most characters of a faulty line that its error quotes
+_QUOTE_LIMIT = 80
 
 
 @functools.cache  # compiled on first use: a program that reads no graph pays nothing
@@ -117,8 +120,8 @@ def _read_fields(
     a text in the strict form of these fields.  A text
     whose first line that is not blank is no header line raises
     header_error; a later line that is not a body line raises
-    line_error, with the line's number and text.  \r\n ends a line as
-    \n does."""
+    line_error, with the line's number and its first _QUOTE_LIMIT
+    characters.  \r\n ends a line as \n does."""
     if "\r" in text:  # a far quicker search than a replace that finds nothing
         text = text.replace("\r\n", "\n")
     header_line, not_blank, not_body = _strict_form(header, line)
@@ -130,8 +133,11 @@ def _read_fields(
         start = bad.end()
         number = text.count("\n", 0, start) + 1
         end = text.find("\n", start)
-        got = text[start : end if end >= 0 else len(text)]
-        raise ValueError(f"line {number}: {line_error}, got {got!r}")
+        length = (end if end >= 0 else len(text)) - start
+        got = repr(text[start : start + min(length, _QUOTE_LIMIT)])
+        if length > _QUOTE_LIMIT:
+            got += f" (the first {_QUOTE_LIMIT} of {length} characters)"
+        raise ValueError(f"line {number}: {line_error}, got {got}")
     body = text[head.end() :]
     if "#" in body:
         body = _COMMENT.sub("", body)

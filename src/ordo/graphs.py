@@ -5,11 +5,13 @@ vertex (bit v of adj[u] is set iff {u,v} is an edge), so the
 neighborhood intersection needed by the clique search is a single `&`.
 The bitsets are the only stored form: `SimpleGraph.edges`,
 `Digraph.arcs`, the counts, equality and hashing are derived from them
-on demand.  Every k-clique search in the package (find_clique, the
-Ramsey check, the disjoint-family maximum) runs through `_clique_in`,
-which prunes by candidate count and, for cliques of 3 or more, by a
-greedy colouring of the candidates; it still returns the
-lexicographically smallest clique.
+on demand, and a digraph keeps its out-rows only.  A tournament is
+checked, and a random one drawn, as one n x n numpy bit matrix.
+Every k-clique search in the package (find_clique, the Ramsey check,
+the disjoint-family maximum) runs through `_clique_in`, which prunes
+by candidate count and, for cliques of 3 or more, by a greedy
+colouring of the candidates; it still returns the lexicographically
+smallest clique.
 All types are immutable after construction and every function is pure.
 """
 
@@ -111,28 +113,25 @@ class SimpleGraph:
 class Digraph:
     """Directed graph; loops allowed, no parallel arcs."""
 
-    __slots__ = ("vertex_count", "out_adj", "in_adj")
+    __slots__ = ("vertex_count", "out_adj")
 
     def __init__(self, vertex_count: int, arcs: Iterable[tuple[int, int]] = ()) -> None:
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
         out_adj = [0] * vertex_count
-        in_adj = [0] * vertex_count
         for u, v in arcs:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"arc ({u}, {v}) out of range for {vertex_count} vertices")
             out_adj[u] |= 1 << v
-            in_adj[v] |= 1 << u
         self.vertex_count: int = vertex_count
         self.out_adj: tuple[int, ...] = tuple(out_adj)
-        self.in_adj: tuple[int, ...] = tuple(in_adj)
 
     @classmethod
     def from_rows(cls, out_adj: Sequence[int]) -> Digraph:
         """The digraph whose row u has bit v set iff (u, v) is an arc.
 
         One row per vertex; a bit at or past the vertex count, or a
-        negative row, is refused.  in_adj is the transposed bit matrix.
+        negative row, is refused.  The rows are stored as given.
         """
         rows = tuple(out_adj)
         n = len(rows)
@@ -142,21 +141,16 @@ class Digraph:
         d = cls.__new__(cls)
         d.vertex_count = n
         d.out_adj = rows
-        d.in_adj = _transpose(rows)
         return d
 
     @classmethod
     def _from_pairs(cls, n: int, tails: np.ndarray, heads: np.ndarray) -> Digraph:
         """The digraph with the arcs (tails[i], heads[i]): 0-based and in
-        range, unchecked.  in_adj comes from the same bit matrix."""
+        range, unchecked; its rows are packed from one bit matrix."""
         bits = _bit_matrix(n, tails, heads)
         if bits is None:
             return cls(n, zip(tails.tolist(), heads.tolist()))
-        d = cls.__new__(cls)
-        d.vertex_count = n
-        d.out_adj = tuple(_rows_of(bits))
-        d.in_adj = tuple(_rows_of(bits.T))
-        return d
+        return cls.from_rows(_rows_of(bits))
 
     @property
     def arcs(self) -> frozenset[tuple[int, int]]:
@@ -172,9 +166,6 @@ class Digraph:
 
     def out_degree(self, u: int) -> int:
         return self.out_adj[u].bit_count()
-
-    def in_degree(self, u: int) -> int:
-        return self.in_adj[u].bit_count()
 
     def loops(self) -> frozenset[int]:
         return frozenset(u for u, row in enumerate(self.out_adj) if row >> u & 1)
@@ -194,24 +185,27 @@ class Digraph:
 class Tournament:
     """Orientation of a complete graph.
 
-    Wraps a Digraph and checks the defining invariant vertex by vertex:
-    no loop at u, no v both in and out of u, and every other vertex in
-    or out of u (so exactly one of (u,v), (v,u) for every pair u != v).
+    Checks its digraph as one bit matrix B, B[u, v] set iff (u, v) is an
+    arc: B is clear on the diagonal and B ^ B.T set everywhere off it,
+    so exactly one of (u,v), (v,u) for every pair u != v.  The first
+    faulty vertex u is named by its loop, else by the least v with both
+    (u, v) and (v, u), else by a pair with neither.
     """
 
     __slots__ = ("digraph",)
 
     def __init__(self, digraph: Digraph) -> None:
-        everyone = (1 << digraph.vertex_count) - 1
-        for u, (out, into) in enumerate(zip(digraph.out_adj, digraph.in_adj)):
-            if out >> u & 1:
+        bits = _bits_of(digraph.out_adj)
+        fits = bits ^ bits.T
+        np.fill_diagonal(fits, ~bits.diagonal())
+        if not fits.all():
+            u = int(fits.all(axis=1).argmin())
+            if bits[u, u]:
                 raise ValueError(f"tournament cannot contain the loop ({u}, {u})")
-            both = out & into
-            if both:
-                v = (both & -both).bit_length() - 1
-                raise ValueError(f"both orientations of {{{u}, {v}}} present")
-            if out | into != everyone ^ 1 << u:
-                raise ValueError("tournament needs exactly one arc per vertex pair")
+            both = bits[u] & bits[:, u]
+            if both.any():
+                raise ValueError(f"both orientations of {{{u}, {both.argmax()}}} present")
+            raise ValueError("tournament needs exactly one arc per vertex pair")
         self.digraph: Digraph = digraph
 
     @classmethod
@@ -240,17 +234,16 @@ def _bit_indices(row: int) -> list[int]:
     return [i for i, digit in enumerate(bin(row)[:1:-1]) if digit == "1"]
 
 
-def _transpose(rows: tuple[int, ...]) -> tuple[int, ...]:
-    """The rows of the transposed n x n bit matrix, n = len(rows)."""
+def _bits_of(rows: Sequence[int]) -> np.ndarray:
+    """The n x n bool matrix, n = len(rows), set at [u, v] iff bit v of
+    rows[u] is: the inverse of _rows_of."""
     n = len(rows)
-    # one byte string of little-endian rows, unpacked to an n x n matrix
-    # of one byte per bit, transposed and packed back: far cheaper than
-    # setting one bit per arc once n passes a handful of vertices
+    # one byte string of little-endian rows, unpacked to one byte per bit
     width = (n + 7) // 8
     packed = np.frombuffer(
         b"".join([row.to_bytes(width, "little") for row in rows]), dtype=np.uint8
     ).reshape(n, width)
-    return tuple(_rows_of(np.unpackbits(packed, axis=1, count=n, bitorder="little").T))
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
 def _bit_matrix(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray | None:
@@ -509,10 +502,6 @@ def max_edges_without_clique_oracle(n: int, k: int) -> int:
     raise AssertionError("no clique-free graph found")  # the empty graph is one
 
 
-# byte -> ASCII digit of its top bit
-_TOP_BIT_DIGIT = bytes.maketrans(bytes(range(256)), b"0" * 128 + b"1" * 128)
-
-
 def random_tournament(n: int, rng: random.Random) -> Tournament:
     """Uniformly random orientation of K_n.
 
@@ -525,21 +514,14 @@ def random_tournament(n: int, rng: random.Random) -> Tournament:
     if n < 2:
         return Tournament(Digraph.from_rows([0] * n))
     m = _pair_count(n)
-    # pair i's bit is the top bit of byte 4i + 3; as ASCII digits, last pair
-    # first, row u's pairs (u, n-1) .. (u, u+1) read as one binary numeral
-    bits = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
-    digits = bits[3::4].translate(_TOP_BIT_DIGIT)[::-1]
-    upper = []
-    end = m
-    for u in range(n - 1):
-        start = end - (n - 1 - u)
-        upper.append(int(digits[start:end], 2) << (u + 1))
-        end = start
-    upper.append(0)
-    # and u beats each earlier vertex that does not beat it
-    beaten_by = _transpose(tuple(upper))
-    rows = [row | (((1 << u) - 1) ^ by) for u, (row, by) in enumerate(zip(upper, beaten_by))]
-    return Tournament(Digraph.from_rows(rows))
+    # pair i's bit is the top bit of byte 4i + 3
+    draw = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype=np.uint8)
+    bits = np.zeros((n, n), dtype=bool)
+    # a boolean mask fills in row-major order, which is lexicographic pair order
+    bits[np.arange(n)[:, None] < np.arange(n)] = draw[3::4] >= 128
+    # and v beats u < v unless u beats v
+    bits |= np.tril(~bits.T, -1)
+    return Tournament(Digraph.from_rows(_rows_of(bits)))
 
 
 def all_tournaments(n: int) -> Iterator[Tournament]:

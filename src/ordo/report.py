@@ -43,6 +43,8 @@ from .debruijn import (
     word_of_vertex,
 )
 from .graphs import (
+    Digraph,
+    Tournament,
     all_tournaments,
     find_clique,
     find_independent_set,
@@ -211,7 +213,11 @@ def _martin_2_3(seed: int) -> tuple[str, str]:
 def _martin_3_2(seed: int) -> tuple[str, str]:
     # the reference prints 0022112010; the greedy rule itself yields
     # 0022120110 (window 12 is still fresh after 00221), so this entry
-    # stays a flagged discrepancy of the reference data
+    # stays a flagged discrepancy of the reference data.  0022112010 is
+    # the word of another greedy rule, "append the last letter again if
+    # its window is fresh, else the largest letter whose window is",
+    # which completes on (3,2) and (4,2) but gets stuck on (2,3), (3,3)
+    # and (2,4)
     return "0022112010", word_encode(martin(DBParams(3, 2)))
 
 
@@ -304,8 +310,8 @@ def _count_3_3(seed: int) -> tuple[str, str]:
 
 @_entry("cycle count formula (3,4)", "quick", flagged=True)
 def _count_3_4(seed: int) -> tuple[str, str]:
-    # the reference table prints 13824 * 10077696^3, which is not what
-    # the closed form gives; both full values on record
+    # the reference table prints 13824 * 10077696^3 = 2^36 * 3^30, while
+    # the closed form gives 2^27 * 3^23; both full values on record
     expected = f"13824 * 10077696^3 = {13824 * 10077696**3}"
     computed = f"(3!)^(3^3) / 3^4 = {count_hamiltonian_cycles(DBParams(3, 4))}"
     return expected, computed
@@ -790,15 +796,11 @@ def _redei_queries(seed: int) -> tuple[str, str]:
     return _sweep(expected, failures)
 
 
-def _cyclic_triangle():
-    from .graphs import Tournament
-
+def _cyclic_triangle() -> Tournament:
     return Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 
 
-def _transitive_tournament(n: int):
-    from .graphs import Digraph, Tournament
-
+def _transitive_tournament(n: int) -> Tournament:
     # u beats every later vertex
     everyone = (1 << n) - 1
     return Tournament(Digraph.from_rows([everyone ^ ((2 << u) - 1) for u in range(n)]))

@@ -87,6 +87,14 @@ class TestRedei:
         assert (code, out) == (2, "")
         assert "graph limit" in err
 
+    def test_long_faulty_line_quoted_in_part(self, tmp_path, capsys):
+        file = tmp_path / "long.txt"
+        file.write_text("digraph n 9\n1 -> 2\n" + "1" * 100_000 + " -> 2\n")
+        code, out, err = run(capsys, "redei", str(file))
+        assert (code, out) == (2, "")
+        assert "line 3: " in err and "(the first 80 of 100005 characters)" in err
+        assert len(err) < 300
+
 
 class TestRamsey:
     def test_search_finds_counterexample(self, capsys):

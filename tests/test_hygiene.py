@@ -1,4 +1,6 @@
-"""Source hygiene: every file parses as Python 3.10, no module-level import goes unused."""
+"""Source hygiene: every file parses as Python 3.10, no module-level
+import goes unused, and no private module-level name in the package
+goes unreferenced."""
 
 from __future__ import annotations
 
@@ -8,7 +10,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "ordo").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "ordo").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -50,3 +53,59 @@ def test_parses_as_python_3_10(path):
     ...).  Syntax only: a stdlib function or a regex feature that 3.10
     lacks is not caught here."""
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def _private_definitions(tree: ast.Module, registrars: set[str]) -> dict[str, int]:
+    """Private name -> line, for the functions, classes and assignments of
+    the module body; a function decorated by one of the registrars is
+    reached through its registry, not by name, and is left out."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if not any(isinstance(d, ast.Name) and d.id in registrars for d in decorators):
+                names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update((t.id, node.lineno) for t in targets if isinstance(t, ast.Name))
+    return {
+        name: line
+        for name, line in names.items()
+        if name.startswith("_") and not name.startswith("__")
+    }
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """The names read in the module, by name or as an attribute, each
+    outside its own definition: a function that only calls itself is
+    not referenced."""
+    found = set()
+    for node in tree.body:
+        read = {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+        }
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            read.discard(node.name)
+        found |= read
+    return found
+
+
+def test_every_private_name_is_referenced():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE}
+    # a package function used as a decorator, such as the report's _entry
+    registrars = {
+        node.name
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    referenced = set().union(*map(_references, trees.values()))
+    unreferenced = sorted(
+        f"{file}: {name} (line {line})"
+        for file, tree in trees.items()
+        for name, line in _private_definitions(tree, registrars).items()
+        if name not in referenced
+    )
+    assert not unreferenced, f"private names nothing refers to: {', '.join(unreferenced)}"

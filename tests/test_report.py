@@ -8,6 +8,7 @@ import time
 import pytest
 
 from ordo import report as report_module
+from ordo.debruijn import DBParams, word_decode
 from ordo.graphs import SimpleGraph, complete_multipartite
 from ordo.report import (
     _REGISTRY,
@@ -68,6 +69,39 @@ class TestRunOne:
         assert entry.status == STATUS_FLAGGED
         assert entry.expected != entry.computed
         assert "12635683568857645056" in entry.computed
+
+
+def _same_letter_else_largest(n: int, m: int) -> str | None:
+    """The linear word of the greedy rule "append the last letter again
+    if its window is fresh, else the largest letter whose window is",
+    from 0^m; None when it gets stuck before every window is used."""
+    word = [0] * m
+    seen = {tuple(word)}
+    while True:
+        last = word[-1]
+        for s in [last] + [s for s in range(n - 1, -1, -1) if s != last]:
+            window = tuple(word[len(word) - m + 1 :] + [s])
+            if window not in seen:
+                seen.add(window)
+                word.append(s)
+                break
+        else:
+            break
+    return "".join(map(str, word)) if len(word) == n**m + m - 1 else None
+
+
+class TestFlaggedExplanations:
+    def test_reference_word_is_the_same_letter_greedy_word(self):
+        entry = _run_one("martin linear form (3,2)", seed=0)
+        assert _same_letter_else_largest(3, 2) == entry.expected == "0022112010"
+        word_decode(_same_letter_else_largest(4, 2), DBParams(4, 2))  # a cycle word
+        for n, m in ((2, 3), (3, 3), (2, 4)):
+            assert _same_letter_else_largest(n, m) is None, (n, m)
+
+    def test_reference_count_and_closed_form_factor(self):
+        entry = _run_one("cycle count formula (3,4)", seed=0)
+        assert entry.expected == f"13824 * 10077696^3 = {2**36 * 3**30}"
+        assert entry.computed == f"(3!)^(3^3) / 3^4 = {2**27 * 3**23}"
 
 
 class TestStructureCheck:
