@@ -410,8 +410,15 @@ def _cycle_letters(params: DBParams) -> Iterator[tuple[int, ...]]:
     base = n ** (m - 1)
     full = (1 << total) - 1
     head = (0,) * m
-    # successors of any vertex v, by the suffix v % base, indexed by letter
-    succ = [tuple(r * n + s for s in range(n)) for r in range(base)]
+    # the successors of a vertex with suffix r are r * n + s, so their n
+    # visited bits sit together at r * n.  By suffix and the mask of those
+    # bits, the free steps (letter, successor, its suffix)
+    low = (1 << n) - 1
+    steps = [[(s, r * n + s, (r * n + s) % base) for s in range(n)] for r in range(base)]
+    free_steps = [
+        [tuple(t for t in row if not taken >> t[0] & 1) for taken in range(low + 1)]
+        for row in steps
+    ]
     memo: dict[int, list[tuple[int, ...]]] = {}
 
     def tails(visited: int, r: int) -> list[tuple[int, ...]]:
@@ -421,17 +428,14 @@ def _cycle_letters(params: DBParams) -> Iterator[tuple[int, ...]]:
         found = memo.get(key)
         if found is None:
             found = []
-            for s, w in enumerate(succ[r]):
-                bit = 1 << w
-                if visited & bit:
-                    continue
-                if visited | bit == full:
+            for s, w, q in free_steps[r][visited >> r * n & low]:
+                if visited | 1 << w == full:
                     # w is the last vertex; the cycle closes iff its arc
                     # back to 0^m exists, i.e. appending letter 0 gives 0^m
-                    if w % base == 0:
+                    if q == 0:
                         found.append((s,))
                 else:
-                    found.extend([(s,) + t for t in tails(visited | bit, w % base)])
+                    found.extend([(s,) + t for t in tails(visited | 1 << w, q)])
             memo[key] = found
         return found
 
@@ -441,14 +445,15 @@ def _cycle_letters(params: DBParams) -> Iterator[tuple[int, ...]]:
         for t in tails(1, 0):
             yield (head + t)[:total]
         return
+    # each frame reads its free steps once, when it is pushed: it sees one
+    # visited set, which its children restore when they backtrack
     visited = 1
     syms: list[int] = []
     saved: list[int] = []  # the visited bitmask below each frame
-    stack = [iter(enumerate(succ[0]))]
+    stack = [iter(free_steps[0][visited & low])]
     while stack:
-        for s, w in stack[-1]:
-            if not visited >> w & 1:
-                break
+        for s, w, q in stack[-1]:
+            break
         else:
             stack.pop()
             if saved:
@@ -457,13 +462,13 @@ def _cycle_letters(params: DBParams) -> Iterator[tuple[int, ...]]:
             continue
         if len(syms) + 1 == cut:
             prefix = head + tuple(syms) + (s,)
-            for t in tails(visited | 1 << w, w % base):
+            for t in tails(visited | 1 << w, q):
                 yield (prefix + t)[:total]
             continue
         saved.append(visited)
         visited |= 1 << w
         syms.append(s)
-        stack.append(iter(enumerate(succ[w % base])))
+        stack.append(iter(free_steps[q][visited >> q * n & low]))
 
 
 def sigma_symbol_map(n: int) -> tuple[int, ...]:

@@ -19,6 +19,7 @@ runtime fields.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -846,6 +847,8 @@ def reproduce_all(
     as skipped."""
     if tier not in TIERS:
         raise ValueError(f"tier must be one of {TIERS}")
+    if budget is not None and math.isnan(budget):
+        raise ValueError("budget must be a number of seconds, not NaN")
     generated_at = datetime.now(timezone.utc).isoformat()
     deadline = None if budget is None else time.monotonic() + budget
     entries: list[ReportEntry] = []

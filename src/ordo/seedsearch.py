@@ -6,21 +6,26 @@ are pairwise arc-disjoint.  The search grows a vertex path from 0^m
 and keeps the whole family fresh at every step: no power of s fixes
 any non-loop arc, so every usable arc has a full (n-1)-element orbit,
 committing an arc commits its orbit, and freshness collapses to one
-membership test per candidate arc.  This prunes enormously earlier
-than building the family per leaf would.
+bit per arc.  This prunes enormously earlier than building the family
+per leaf would.  The path and the committed orbits share one state
+bitmask in which a vertex's n successors, and its n out-arcs, take n
+adjacent bits, so a frame reads its free letters once, when it is
+pushed, with two shifts of the state.
 
 Seeds stream out in lexicographic word order.  A search can therefore
-resume from the largest seed recorded in a cache file: the DFS fast-
-forwards along the lexicographic lower bound and reports only words
-strictly above it.  Cache files are JSON lines with the fields
-n, m, seed, timestamp, nodes_explored; a final line torn by a crash
-is skipped on reading and dropped by the next append.
+resume from the largest seed recorded in a cache file: the DFS walks
+that word's path once and reports only words strictly above it.
+Cache files are JSON lines with the fields n, m, seed, timestamp,
+nodes_explored; a final line torn by a crash is skipped on reading
+and dropped by the next append.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -48,9 +53,10 @@ __all__ = [
 
 _BUDGET_CHECK_STRIDE = 8192
 
-# the step table holds two masks per arc, each up to n^(m+1) + n^m bits
-# wide, and is built before the first node: at (22,2), 484 vertices, that
-# takes 1-2 s and 34 MB
+# the step table holds one mask per arc, up to n^(m+1) + n^m bits wide,
+# and is built before the first node; the free-step tables fill as masks
+# turn up.  At (22,2), 484 vertices, a 2000-node search takes about 0.1 s,
+# with a tracemalloc peak of 17 MB
 SEED_SEARCH_VERTEX_LIMIT = 2**9
 
 
@@ -63,40 +69,15 @@ class SeedSearchResult:
     budget_exhausted: bool
 
 
-def _sigma_vertex_map(params: DBParams) -> list[int]:
-    n, m = params.n, params.m
-    smap = sigma_symbol_map(n)
-    out = []
-    for v in range(params.vertex_count):
-        digits = []
-        x = v
-        for _ in range(m):
-            x, d = divmod(x, n)
-            digits.append(smap[d])
-        value = 0
-        for d in reversed(digits):
-            value = value * n + d
-        out.append(value)
-    return out
-
-
-def _arc_orbits(params: DBParams) -> list[tuple[int, ...]]:
-    # orbit of arc (v, s) under (v, s) -> (sigma v, sigma s); length n-1,
-    # with repeats only for loops, which the search never touches
+def _sigma_arc_map(params: DBParams) -> list[int]:
+    # arc (v, s) has id v * n + s, its m+1 letters read as a base-n
+    # number, so sigma maps the id letter by letter
     n = params.n
     smap = sigma_symbol_map(n)
-    vmap = _sigma_vertex_map(params)
-    orbits = []
-    for v in range(params.vertex_count):
-        for s in range(n):
-            ids = []
-            x, y = v, s
-            for _ in range(n - 1):
-                ids.append(x * n + y)
-                x = vmap[x]
-                y = smap[y]
-            orbits.append(tuple(ids))
-    return orbits
+    images = [0]
+    for _ in range(params.m + 1):
+        images = [x * n + smap[d] for x in images for d in range(n)]
+    return images
 
 
 def _extension_letters(word: DeBruijnWord) -> list[int]:
@@ -125,27 +106,43 @@ def rotation_seed_search(
     Refuses n^m > SEED_SEARCH_VERTEX_LIMIT before building its tables.
     """
     _check_vertex_limit(params, SEED_SEARCH_VERTEX_LIMIT, "seed search")
+    if time_budget is not None and math.isnan(time_budget):
+        raise ValueError("time budget must be a number of seconds, not NaN")
     n, m = params.n, params.m
     total = params.vertex_count
     base = n ** (m - 1)
-    orbits = _arc_orbits(params)
+    low = (1 << n) - 1
+    arc_image = _sigma_arc_map(params)
 
     # the search keeps one state bitmask: bit v for each vertex on the
     # path, bit total + a for each arc a of a committed orbit.  Per
-    # vertex, one step per letter: (letter, successor, the state bits
-    # that block the step, the state bits it sets)
-    def step(v: int, s: int) -> tuple[int, int, int, int]:
+    # vertex, one step per letter: (letter, successor, the state bits the
+    # step sets).  An arc's orbit has n-1 arcs, repeated only for loops,
+    # which the search never takes
+    def step(v: int, s: int) -> tuple[int, int, int]:
         w = (v % base) * n + s
-        aid = v * n + s
-        add = sum(1 << (total + x) for x in set(orbits[aid]))
-        return s, w, 1 << w | 1 << (total + aid), 1 << w | add
+        add, a = 1 << w, v * n + s
+        for _ in range(n - 1):
+            add |= 1 << total + a
+            a = arc_image[a]
+        return s, w, add
 
     steps = [tuple(step(v, s) for s in range(n)) for v in range(total)]
-    bound: list[int] | None = None
-    if resume_after is not None:
-        if resume_after.params != params:
-            raise ValueError("resume word belongs to a different graph")
-        bound = _extension_letters(resume_after)
+    # per vertex w: where its successor bits and its out-arc bits start,
+    # and its free steps by the mask of taken letters, filled as masks turn
+    # up (2^n entries a vertex, built up front, would not fit)
+    frames = [((v % base) * n, total + v * n, {}) for v in range(total)]
+
+    def free_steps(w: int, state: int) -> tuple[tuple[int, int, int], ...]:
+        at_succ, at_arc, table = frames[w]
+        taken = (state >> at_succ | state >> at_arc) & low
+        if taken not in table:
+            table[taken] = tuple(t for t in steps[w] if not taken >> t[0] & 1)
+        return table[taken]
+
+    if resume_after is not None and resume_after.params != params:
+        raise ValueError("resume word belongs to a different graph")
+    bound = [] if resume_after is None else _extension_letters(resume_after)
 
     seeds: list[DeBruijnWord] = []
     nodes = 0
@@ -154,36 +151,51 @@ def rotation_seed_search(
         deadline is not None and time.monotonic() > deadline
     ):
         return SeedSearchResult(params, seeds, nodes, False, True)
-    out_of_budget = False
 
-    # tight while the path equals the resume bound's prefix, in which
-    # case the top frame's steps start at its letter
     state = 1
-    tight = bound is not None
     syms: list[int] = []
-    saved: list[tuple[int, bool]] = []  # (state, tight) below each frame
-    stack = [iter(steps[0][bound[0]:] if tight else steps[0])]
-
+    saved: list[int] = []  # the state below each frame
+    stack = [] if bound else [iter(free_steps(0, state))]
+    v = 0
+    for depth, b in enumerate(bound):
+        # walk the resume word's path once, counting its nodes, as far as
+        # it is free; each frame on it goes on above the word's letter, and
+        # the word itself, at the last vertex, is not reported again
+        here = free_steps(v, state)
+        stack.append(iter([t for t in here if t[0] > b]))
+        if steps[v][b] not in here:
+            break
+        nodes += 1
+        if depth + 2 == total:
+            break
+        saved.append(state)
+        syms.append(b)
+        _, v, add = steps[v][b]
+        state |= add
+    # one comparison per node folds both budgets: check_at is the node budget
+    # or, with a deadline, the next multiple of the stride (the walk is shorter)
+    limit = sys.maxsize if node_budget is None else node_budget
+    check_at = min(limit, sys.maxsize if deadline is None else _BUDGET_CHECK_STRIDE)
+    if check_at <= nodes:
+        return SeedSearchResult(params, seeds, check_at, False, True)
+    last = total - 2  # the depth of the last vertex
     while stack:
-        for s, w, block, add in stack[-1]:
-            if not state & block:
-                break
+        for s, w, add in stack[-1]:
+            break
         else:
             stack.pop()
             if saved:
-                state, tight = saved.pop()
+                state = saved.pop()
                 syms.pop()
             continue
         nodes += 1
-        depth = len(syms)  # index of the letter s in the extension sequence
-        step_tight = tight and s == bound[depth]
-        if depth + 2 == total:
+        if len(syms) == last:
             # last vertex.  The closing arc w -> 0^m appends letter 0, so
             # it exists when w ends in m-1 zeros.  It is always free: sigma
             # fixes the letter 0, so every arc of its orbit appends 0 to a
             # word ending in m-1 zeros, leading into 0^m, which no path arc
-            # does.  The resume word itself was already reported.
-            if w % base == 0 and not step_tight:
+            # does.
+            if w % base == 0:
                 letters = ((0,) * m + tuple(syms) + (s,))[:total]
                 seed = DeBruijnWord(params, letters)
                 assert pairwise_arc_disjoint(rotation_family(seed))
@@ -192,20 +204,18 @@ def rotation_seed_search(
                 if stop or not find_all:
                     return SeedSearchResult(params, seeds, nodes, True, False)
         else:
-            saved.append((state, tight))
+            saved.append(state)
             state |= add
-            tight = step_tight
             syms.append(s)
-            stack.append(iter(steps[w][bound[depth + 1]:] if tight else steps[w]))
-        if nodes == node_budget or (
-            deadline is not None
-            and nodes % _BUDGET_CHECK_STRIDE == 0
-            and time.monotonic() > deadline
-        ):
-            out_of_budget = True
-            break
-
-    return SeedSearchResult(params, seeds, nodes, not out_of_budget, out_of_budget)
+            # free_steps, inlined
+            at_succ, at_arc, table = frames[w]
+            here = table.get((state >> at_succ | state >> at_arc) & low)
+            stack.append(iter(free_steps(w, state) if here is None else here))
+        if nodes == check_at:
+            if nodes == node_budget or time.monotonic() > deadline:
+                return SeedSearchResult(params, seeds, nodes, False, True)
+            check_at = min(limit, nodes + _BUDGET_CHECK_STRIDE)
+    return SeedSearchResult(params, seeds, nodes, True, False)
 
 
 def append_seed_cache(path: str, word: DeBruijnWord, nodes_explored: int) -> None:

@@ -409,6 +409,15 @@ class TestSeedSearch:
         assert code == 3
         assert "budget exhausted" in err
 
+    def test_nan_budget_refused(self, capsys):
+        # every comparison with NaN is false, so the clock would never stop it
+        for budget in ("nan", "NaN", "-nan"):
+            code, out, err = run(
+                capsys, "debruijn", "seed-search", "3", "2", "--all", f"--budget={budget}"
+            )
+            assert (code, out) == (2, ""), budget
+            assert "not NaN" in err
+
 
 class TestReproduce:
     def test_zero_budget_skips(self, tmp_path, capsys):
@@ -421,6 +430,15 @@ class TestReproduce:
         doc = json.loads(Path(out_file).read_text())
         assert doc["exit_code"] == 3
         assert doc["tier"] == "quick"
+
+    def test_nan_budget_refused(self, tmp_path, capsys):
+        out_file = tmp_path / "report.json"
+        code, out, err = run(
+            capsys, "reproduce", "--quick", "--budget", "nan", "--json", str(out_file)
+        )
+        assert (code, out) == (2, "")
+        assert "not NaN" in err
+        assert not out_file.exists()
 
     def test_json_is_atomic_and_valid(self, tmp_path, capsys):
         out_file = tmp_path / "r.json"

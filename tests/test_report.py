@@ -169,6 +169,11 @@ class TestReproduceAll:
         with pytest.raises(ValueError, match="tier"):
             reproduce_all(tier="exhaustive")
 
+    def test_rejects_nan_budget(self):
+        # no clock reading is ever past a NaN deadline
+        with pytest.raises(ValueError, match="not NaN"):
+            reproduce_all(tier="quick", budget=float("nan"))
+
     def test_zero_budget_skips_everything(self):
         report = reproduce_all(tier="quick", budget=0.0)
         assert all(e.status == STATUS_SKIPPED for e in report.entries)

@@ -2,21 +2,29 @@
 
 from __future__ import annotations
 
+import functools
+import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordo.debruijn import (
     DBParams,
+    DeBruijnWord,
     enumerate_hamiltonian_cycles,
     martin,
     pairwise_arc_disjoint,
     rotation_family,
+    sigma_symbol_map,
     word_decode,
     word_encode,
 )
 from ordo.report import REFERENCE_SEEDS
 from ordo.seedsearch import (
+    _BUDGET_CHECK_STRIDE,
+    _extension_letters,
     append_seed_cache,
     cached_seeds,
     read_seed_cache,
@@ -24,6 +32,161 @@ from ordo.seedsearch import (
 )
 
 SEEDS_3_2 = ("0011220210", "0012022110", "0021011220", "0022110120")
+
+
+def reference_arc_orbits(params: DBParams) -> list[tuple[int, ...]]:
+    # orbit of arc (v, s) under (v, s) -> (sigma v, sigma s), sigma v
+    # taken digit by digit; length n-1, with repeats only for loops
+    n, m = params.n, params.m
+    smap = sigma_symbol_map(n)
+    vmap = []
+    for v in range(params.vertex_count):
+        digits = [v // n**k % n for k in range(m)]
+        vmap.append(sum(smap[d] * n**k for k, d in enumerate(digits)))
+    orbits = []
+    for v in range(params.vertex_count):
+        for s in range(n):
+            ids = []
+            x, y = v, s
+            for _ in range(n - 1):
+                ids.append(x * n + y)
+                x = vmap[x]
+                y = smap[y]
+            orbits.append(tuple(ids))
+    return orbits
+
+
+def reference_seed_search(
+    params: DBParams,
+    find_all: bool = False,
+    node_budget: int | None = None,
+    resume_after: DeBruijnWord | None = None,
+) -> tuple[list[str], int, bool, bool]:
+    """(seeds, nodes_explored, completed, budget_exhausted) of a seed
+    search, by a DFS that tests every letter's step against the state at
+    every visit and tracks the resume word's path with a per-frame flag:
+    the seed search oracle."""
+    n, m = params.n, params.m
+    total = params.vertex_count
+    base = n ** (m - 1)
+    orbits = reference_arc_orbits(params)
+
+    def step(v: int, s: int) -> tuple[int, int, int, int]:
+        w = (v % base) * n + s
+        aid = v * n + s
+        add = sum(1 << (total + x) for x in set(orbits[aid]))
+        return s, w, 1 << w | 1 << (total + aid), 1 << w | add
+
+    steps = [tuple(step(v, s) for s in range(n)) for v in range(total)]
+    bound = None if resume_after is None else _extension_letters(resume_after)
+    seeds: list[str] = []
+    nodes = 0
+    if node_budget is not None and node_budget <= 0:
+        return seeds, nodes, False, True
+    out_of_budget = False
+    state = 1
+    tight = bound is not None
+    syms: list[int] = []
+    saved: list[tuple[int, bool]] = []
+    stack = [iter(steps[0][bound[0]:] if tight else steps[0])]
+    while stack:
+        for s, w, block, add in stack[-1]:
+            if not state & block:
+                break
+        else:
+            stack.pop()
+            if saved:
+                state, tight = saved.pop()
+                syms.pop()
+            continue
+        nodes += 1
+        depth = len(syms)
+        step_tight = tight and s == bound[depth]
+        if depth + 2 == total:
+            if w % base == 0 and not step_tight:
+                letters = ((0,) * m + tuple(syms) + (s,))[:total]
+                seeds.append(word_encode(DeBruijnWord(params, letters)))
+                if not find_all:
+                    return seeds, nodes, True, False
+        else:
+            saved.append((state, tight))
+            state |= add
+            tight = step_tight
+            syms.append(s)
+            stack.append(iter(steps[w][bound[depth + 1]:] if tight else steps[w]))
+        if nodes == node_budget:
+            out_of_budget = True
+            break
+    return seeds, nodes, not out_of_budget, out_of_budget
+
+
+def searched(params: DBParams, find_all: bool = False, **kwargs):
+    result = rotation_seed_search(params, find_all, **kwargs)
+    seeds = [word_encode(w) for w in result.seeds]
+    return seeds, result.nodes_explored, result.completed, result.budget_exhausted
+
+
+# every B(n, m) with n^m <= 16; the trees of (12,1), (14,1) and (16,1)
+# hold no seed in millions of nodes, so every search is capped
+SMALL_GRAPHS = [
+    DBParams(n, m) for n in range(2, 17) for m in range(1, 5) if n**m <= 16
+]
+NODE_CAP = 40_000
+RESUMABLE = (DBParams(3, 2), DBParams(4, 2), DBParams(2, 4))
+
+
+@functools.lru_cache(maxsize=None)
+def census_words(params: DBParams) -> tuple[DeBruijnWord, ...]:
+    return tuple(enumerate_hamiltonian_cycles(params))
+
+
+@functools.lru_cache(maxsize=None)
+def tree_size(params: DBParams, find_all: bool, resume_after) -> int:
+    # the nodes of the uncapped search, or NODE_CAP when it runs past it
+    return reference_seed_search(params, find_all, NODE_CAP, resume_after)[1]
+
+
+class TestAgainstTheReference:
+    @pytest.mark.parametrize("params", SMALL_GRAPHS, ids=lambda p: f"{p.n}_{p.m}")
+    @pytest.mark.parametrize("find_all", [True, False], ids=["all", "first"])
+    def test_budgets_around_the_tree_size(self, params, find_all):
+        size = tree_size(params, find_all, None)
+        for budget in sorted({0, 1, size - 1, size, size + 1, NODE_CAP}):
+            assert searched(params, find_all, node_budget=budget) == (
+                reference_seed_search(params, find_all, budget)
+            ), budget
+
+    def test_budgets_along_the_resume_walk(self):
+        # the resume word's path is walked before the main loop, so a budget
+        # can run out on it, or just after it
+        p = DBParams(4, 2)
+        words = census_words(p)
+        for resume in words[::1000] + words[-3:]:
+            for budget in range(18):
+                assert searched(p, True, node_budget=budget, resume_after=resume) == (
+                    reference_seed_search(p, True, budget, resume)
+                ), (word_encode(resume), budget)
+
+    @settings(max_examples=150, derandomize=True, database=None)
+    @given(st.data())
+    def test_resumed_and_budgeted_searches(self, data):
+        params = data.draw(st.sampled_from(SMALL_GRAPHS + list(RESUMABLE) * 3))
+        find_all = data.draw(st.booleans())
+        resume = None
+        if params in RESUMABLE and data.draw(st.booleans()):
+            resume = data.draw(st.sampled_from(census_words(params)))
+        size = tree_size(params, find_all, resume)
+        budget = data.draw(
+            st.one_of(
+                st.sampled_from([0, 1, size - 1, size, size + 1]),
+                st.integers(0, size + 1),
+            )
+        )
+        if size < NODE_CAP and data.draw(st.booleans()):
+            budget = None
+        assert searched(params, find_all, node_budget=budget, resume_after=resume) == (
+            reference_seed_search(params, find_all, budget, resume)
+        )
 
 
 class TestFullSearch:
@@ -138,6 +301,52 @@ class TestBudgets:
         result = rotation_seed_search(DBParams(4, 2), find_all=True, node_budget=0)
         assert result.budget_exhausted and (result.nodes_explored, result.seeds) == (0, [])
 
+    def test_nan_time_budget_refused_before_building_tables(self):
+        # no clock reading is ever past a NaN deadline
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="not NaN"):
+                rotation_seed_search(
+                    DBParams(22, 2), find_all=True, node_budget=1, time_budget=float("nan")
+                )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_clock_is_read_once_a_stride(self):
+        # 8192 (7,2) nodes take several milliseconds, so a 1 ms deadline
+        # has passed at the first reading, and not before
+        p = DBParams(7, 2)
+        for node_budget in (None, 10_000):
+            result = rotation_seed_search(
+                p, find_all=True, time_budget=0.001, node_budget=node_budget
+            )
+            assert result.budget_exhausted and not result.completed
+            assert result.nodes_explored == _BUDGET_CHECK_STRIDE == 8192
+
+    def test_clock_is_read_at_multiples_of_the_stride(self, monkeypatch):
+        # one reading sets the deadline and one checks it before the first
+        # node; a clock that jumps past the deadline at its fifth reading
+        # stops the search after three strides, with or without a resume
+        readings = []
+
+        def monotonic():
+            readings.append(None)
+            return 0.0 if len(readings) < 5 else 1e9
+
+        monkeypatch.setattr(time, "monotonic", monotonic)
+        p = DBParams(7, 2)
+        resume = word_decode("00115161312141055653525450663626460332343022420440", p)
+        for resume_after in (None, resume):
+            readings.clear()
+            result = rotation_seed_search(
+                p, find_all=True, time_budget=600.0, resume_after=resume_after
+            )
+            assert result.budget_exhausted and not result.completed
+            assert result.nodes_explored == 3 * _BUDGET_CHECK_STRIDE
+            assert len(readings) == 5
+
     def test_time_budget_zero(self):
         result = rotation_seed_search(DBParams(4, 2), find_all=True, time_budget=0.0)
         assert result.budget_exhausted and not result.completed
@@ -193,6 +402,19 @@ class TestSizeGuard:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+    def test_largest_admitted_search_is_cheap_to_start(self):
+        # the free-step tables fill as masks turn up: 2^22 entries a vertex,
+        # built up front, would not fit
+        tracemalloc.start()
+        try:
+            result = rotation_seed_search(DBParams(22, 2), find_all=True, node_budget=2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.nodes_explored == 2000 and result.budget_exhausted
+        assert peak < 40_000_000
 
 
 class TestParityPins:
