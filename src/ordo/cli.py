@@ -19,7 +19,7 @@ from . import turan
 from .graphs import Tournament, max_edges_without_clique_oracle
 from .redei import is_hamiltonian_path, redei_hamiltonian_path
 from .report import render_table, reproduce_all
-from .seedsearch import append_seed_cache, resume_seeds, rotation_seed_search
+from .seedsearch import _check_time_budget, append_seed_cache, resume_seeds, rotation_seed_search
 
 __all__ = ["main", "build_parser"]
 
@@ -277,6 +277,7 @@ def _cmd_debruijn(args: argparse.Namespace) -> int:
 
 def _cmd_seed_search(args: argparse.Namespace) -> int:
     params = db.DBParams(args.n, args.m)
+    _check_time_budget(args.budget)  # before a resumed search prints its cached seeds
     resume_word = None
     if args.resume:
         known = resume_seeds(args.resume, params)

@@ -8,11 +8,12 @@ window occurs exactly once; such cyclic words are the unit of work
 here.
 
 Representation: a vertex is the base-n value of its word, so following
-the arc that appends letter s is (v % n^(m-1)) * n + s.  Cycles are
-kept in the canonical rotation starting with the 0^m window and are
-printed in linear form, the cyclic word plus its first m-1 letters
-repeated at the end (the form in which every window can be read off
-left to right).
+the arc that appends letter s is (v % n^(m-1)) * n + s.  That arc is
+numbered a = v * n + s, the base-n value of its (m+1)-letter window:
+its tail is a // n and its head a % n^m.  Cycles are kept in the
+canonical rotation starting with the 0^m window and are printed in
+linear form, the cyclic word plus its first m-1 letters repeated at the
+end (the form in which every window can be read off left to right).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import GRAPH_VERTEX_LIMIT, Digraph, SimpleGraph, _clique_in
+from .graphs import GRAPH_VERTEX_LIMIT, Digraph, SimpleGraph, _clique_in, _rows_of
 from .graphio import graph_to_dot
 
 __all__ = [
@@ -38,7 +39,6 @@ __all__ = [
     "de_bruijn_graph",
     "underlying_simple_graph",
     "flower_dot",
-    "arcs_of",
     "martin",
     "count_hamiltonian_cycles",
     "enumerate_hamiltonian_cycles",
@@ -125,18 +125,6 @@ class DeBruijnWord:
             if seen[window]:
                 raise ValueError(f"window repeated at position {i}")
             seen[window] = 1
-
-    def vertex_cycle(self) -> list[int]:
-        """The cycle's vertices in order, starting at 0^m."""
-        n, m = self.params.n, self.params.m
-        total = self.params.vertex_count
-        base = n ** (m - 1)
-        out = [0]
-        window = 0
-        for i in range(1, total):
-            window = (window % base) * n + self.letters[(i + m - 1) % total]
-            out.append(window)
-        return out
 
     def __str__(self) -> str:
         return word_encode(self)
@@ -293,16 +281,20 @@ def de_bruijn_graph(params: DBParams) -> Digraph:
     _check_vertex_limit(params, GRAPH_VERTEX_LIMIT, "graph")
     n = params.n
     base = n ** (params.m - 1)
-    arcs = [
-        (v, (v % base) * n + s) for v in range(params.vertex_count) for s in range(n)
-    ]
-    return Digraph(params.vertex_count, arcs)
+    # the successors of v are (v % base) * n + s: n adjacent bits
+    low = (1 << n) - 1
+    return Digraph.from_rows([low << (v % base) * n for v in range(params.vertex_count)])
 
 
 def underlying_simple_graph(params: DBParams) -> SimpleGraph:
     """Forget directions and loops; antiparallel arc pairs merge."""
     d = de_bruijn_graph(params)
-    return SimpleGraph(d.vertex_count, [(u, v) for u, v in d.arcs if u != v])
+    n, base = params.n, params.vertex_count // params.n
+    # the predecessors of v are v // n + k * base for k < n
+    spread = sum(1 << k * base for k in range(n))
+    return SimpleGraph._from_rows(
+        [(row | spread << v // n) & ~(1 << v) for v, row in enumerate(d.out_adj)]
+    )
 
 
 def flower_dot(params: DBParams) -> str:
@@ -310,13 +302,6 @@ def flower_dot(params: DBParams) -> str:
     g = underlying_simple_graph(params)
     names = [word_of_vertex(v, params) for v in range(g.vertex_count)]
     return graph_to_dot(g, names=names, title=f"B_{params.n}_{params.m}")
-
-
-def arcs_of(word: DeBruijnWord) -> frozenset[tuple[int, int]]:
-    """The n^m arcs the cycle traverses, as vertex pairs."""
-    cycle = word.vertex_cycle()
-    total = len(cycle)
-    return frozenset((cycle[i], cycle[(i + 1) % total]) for i in range(total))
 
 
 def martin(params: DBParams) -> DeBruijnWord:
@@ -481,17 +466,14 @@ def sigma_symbol_map(n: int) -> tuple[int, ...]:
 
 
 def sigma(word: DeBruijnWord) -> DeBruijnWord:
-    """Apply the letter rotation to a cycle and re-canonicalize.
+    """Apply the letter rotation to a cycle.
 
     The letter permutation is a graph automorphism of B(n, m), so the
     image of a Hamiltonian cycle is again one; with n = 2 the map is
-    the identity.
+    the identity.  It fixes 0, so the image still starts at 0^m.
     """
-    n, m = word.params.n, word.params.m
-    smap = sigma_symbol_map(n)
-    rotated = _rotate_to_zero_window([smap[c] for c in word.letters], m)
-    assert rotated is not None, "automorphism image must still contain the zero window"
-    return DeBruijnWord(word.params, rotated)
+    smap = sigma_symbol_map(word.params.n)
+    return DeBruijnWord(word.params, tuple([smap[c] for c in word.letters]))
 
 
 def rotation_family(seed: DeBruijnWord) -> list[DeBruijnWord]:
@@ -522,7 +504,8 @@ def rotation_family(seed: DeBruijnWord) -> list[DeBruijnWord]:
 
 @dataclass(frozen=True)
 class ArcConflict:
-    """First pair of cycles (by index) sharing arcs, with the shared set."""
+    """First pair of cycles (by index) sharing arcs, with the shared set
+    of (tail, head) vertex pairs."""
 
     first: int
     second: int
@@ -535,32 +518,39 @@ def _check_same_graph(words: Sequence[DeBruijnWord]) -> None:
             raise ValueError("cycles live in different graphs")
 
 
+def _arc_ids(words: Sequence[DeBruijnWord]) -> np.ndarray:
+    """The arc numbers of non-empty same-graph words, one word per
+    column: the arc leaving the window at position i is the (m+1)-letter
+    window there."""
+    columns = np.array([w.letters for w in words], dtype=np.int64).T
+    return _windows(columns, words[0].params.n, words[0].params.m + 1)
+
+
 def arc_conflict(words: Sequence[DeBruijnWord]) -> ArcConflict | None:
     """Scan index pairs in order; None means pairwise arc-disjoint."""
     _check_same_graph(words)
-    arc_sets = [arcs_of(w) for w in words]
+    if len(words) < 2:
+        return None
+    n, total = words[0].params.n, words[0].params.vertex_count
+    arc_sets = [set(ids) for ids in _arc_ids(words).T.tolist()]
     for i in range(len(words)):
         for j in range(i + 1, len(words)):
             shared = arc_sets[i] & arc_sets[j]
             if shared:
-                return ArcConflict(i, j, shared)
+                return ArcConflict(i, j, frozenset((a // n, a % total) for a in shared))
     return None
 
 
 def pairwise_arc_disjoint(words: Sequence[DeBruijnWord]) -> bool:
     """Whether arc_conflict(words) is None, without the pairwise scan.
 
-    An arc leaving the window at position i is numbered window * n +
-    the letter after it, which is the (m+1)-letter window there.  A
-    cycle's arcs are distinct, so the cycles share an arc exactly when
-    some number occurs twice among all of theirs: one bincount.
+    A cycle's arcs are distinct, so the cycles share an arc exactly when
+    some arc number occurs twice among all of theirs: one bincount.
     """
     _check_same_graph(words)
     if not words:
         return True
-    columns = np.array([w.letters for w in words], dtype=np.int64).T
-    arc_ids = _windows(columns, words[0].params.n, words[0].params.m + 1)
-    return bool(np.bincount(arc_ids.ravel()).max() <= 1)
+    return bool(np.bincount(_arc_ids(words).ravel()).max() <= 1)
 
 
 def max_disjoint_upper_bound(n: int) -> int:
@@ -591,14 +581,11 @@ def max_disjoint_exact(params: DBParams) -> tuple[int, list[DeBruijnWord]]:
         )
     cycles = list(enumerate_hamiltonian_cycles(params))
     count = len(cycles)
-    arc_sets = [arcs_of(w) for w in cycles]
-    adj = [0] * count
-    for i in range(count):
-        for j in range(i + 1, count):
-            if not (arc_sets[i] & arc_sets[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-
+    # incidence[k, a] is 1 when cycle k takes arc a; two cycles are
+    # adjacent when they share none, so no cycle is adjacent to itself
+    incidence = np.zeros((count, params.vertex_count * params.n))
+    incidence[np.arange(count), _arc_ids(cycles)] = 1
+    adj = _rows_of(incidence @ incidence.T == 0)
     full = (1 << count) - 1
     best: tuple[int, ...] = ()
     while (bigger := _clique_in(adj, full, len(best) + 1)) is not None:

@@ -86,6 +86,12 @@ def _extension_letters(word: DeBruijnWord) -> list[int]:
     return list(word.letters[m:]) + list(word.letters[: m - 1])
 
 
+def _check_time_budget(time_budget: float | None) -> None:
+    # every comparison with NaN is false, so the clock would never stop it
+    if time_budget is not None and math.isnan(time_budget):
+        raise ValueError("time budget must be a number of seconds, not NaN")
+
+
 def rotation_seed_search(
     params: DBParams,
     find_all: bool = False,
@@ -106,8 +112,7 @@ def rotation_seed_search(
     Refuses n^m > SEED_SEARCH_VERTEX_LIMIT before building its tables.
     """
     _check_vertex_limit(params, SEED_SEARCH_VERTEX_LIMIT, "seed search")
-    if time_budget is not None and math.isnan(time_budget):
-        raise ValueError("time budget must be a number of seconds, not NaN")
+    _check_time_budget(time_budget)
     n, m = params.n, params.m
     total = params.vertex_count
     base = n ** (m - 1)

@@ -6,7 +6,7 @@ def pytest_addoption(parser):
         "--long-budget",
         action="store_true",
         default=False,
-        help="run the stretch seed searches (several minutes)",
+        help="run the (7,2) stretch seed search (up to 15 minutes)",
     )
 
 

@@ -4,8 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as
 they print.  Criterion 1 compares the greedy construction against the
 reference linear form on record; the two disagree (the bundled
 reference data carries the discrepancy flag), so that test fails by
-design rather than hiding the difference.  The stretch searches behind
-criterion 6 only run with `--long-budget`.
+design rather than hiding the difference.  The (7,2) stretch search
+behind criterion 6 only runs with `--long-budget`.
 """
 
 from __future__ import annotations
@@ -179,9 +179,7 @@ def test_criterion_06_seed_searches():
     assert ok, "; ".join(failures)
 
 
-def test_criterion_06_stretch_6_2(long_budget):
-    if not long_budget:
-        pytest.skip("stretch search; enable with --long-budget")
+def test_criterion_06_stretch_6_2():
     targets = set(REFERENCE_SEEDS[(6, 2)])
     found, result = _search_until(DBParams(6, 2), targets, 900.0)
     ok = targets <= found

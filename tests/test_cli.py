@@ -403,8 +403,10 @@ class TestSeedSearch:
             assert "seed search limit" in err
 
     def test_budget_exit_code(self, capsys):
+        # the first (7,2) seed lies hundreds of millions of nodes deep; the
+        # whole (6,2) first-seed search can finish inside 0.05 s
         code, _, err = run(
-            capsys, "debruijn", "seed-search", "6", "2", "--budget", "0.05"
+            capsys, "debruijn", "seed-search", "7", "2", "--budget", "0.05"
         )
         assert code == 3
         assert "budget exhausted" in err
@@ -417,6 +419,16 @@ class TestSeedSearch:
             )
             assert (code, out) == (2, ""), budget
             assert "not NaN" in err
+
+    def test_nan_budget_refused_before_the_cache_is_printed(self, tmp_path, capsys):
+        cache = str(tmp_path / "seeds.jsonl")
+        run(capsys, "debruijn", "seed-search", "3", "2", "--all", "--cache", cache)
+        code, out, err = run(
+            capsys, "debruijn", "seed-search", "3", "2", "--all",
+            "--resume", cache, "--budget", "nan",
+        )
+        assert (code, out) == (2, "")
+        assert "not NaN" in err
 
 
 class TestReproduce:

@@ -16,10 +16,10 @@ from ordo.debruijn import (
     ALPHABET,
     ENUMERATION_CYCLE_LIMIT,
     ENUMERATION_VERTEX_LIMIT,
+    ArcConflict,
     DBParams,
     DeBruijnWord,
     arc_conflict,
-    arcs_of,
     count_hamiltonian_cycles,
     de_bruijn_graph,
     enumerate_hamiltonian_cycles,
@@ -37,6 +37,7 @@ from ordo.debruijn import (
     word_encode,
     word_of_vertex,
 )
+from ordo.graphs import Digraph, SimpleGraph
 from ordo.report import (
     REFERENCE_BLOCK_5_2,
     REFERENCE_CYCLES_2_3,
@@ -75,6 +76,40 @@ def reference_cycles(params: DBParams):
         visited[w] = 1
         syms.append(s)
         stack.append([w, 0])
+
+
+def reference_arcs(word: DeBruijnWord) -> frozenset[tuple[int, int]]:
+    """The n^m arcs the cycle traverses, as (tail, head) vertex pairs,
+    by walking its windows one vertex at a time: the arc-set oracle."""
+    n, m = word.params.n, word.params.m
+    total = word.params.vertex_count
+    base = n ** (m - 1)
+    cycle = [0]
+    for i in range(1, total):
+        cycle.append((cycle[-1] % base) * n + word.letters[(i + m - 1) % total])
+    return frozenset((cycle[i], cycle[(i + 1) % total]) for i in range(total))
+
+
+def reference_conflict(words) -> ArcConflict | None:
+    """arc_conflict by a pairwise scan over the oracle's arc sets."""
+    for w in words[1:]:
+        if w.params != words[0].params:
+            raise ValueError("cycles live in different graphs")
+    arc_sets = [reference_arcs(w) for w in words]
+    for i in range(len(words)):
+        for j in range(i + 1, len(words)):
+            shared = arc_sets[i] & arc_sets[j]
+            if shared:
+                return ArcConflict(i, j, shared)
+    return None
+
+
+def reference_de_bruijn_graph(params: DBParams) -> Digraph:
+    """B(n, m) from its list of n^(m+1) arc pairs, one per vertex and letter."""
+    n = params.n
+    base = n ** (params.m - 1)
+    arcs = [(v, (v % base) * n + s) for v in range(params.vertex_count) for s in range(n)]
+    return Digraph(params.vertex_count, arcs)
 
 
 def lyndon_cycle(n: int, m: int) -> tuple[int, ...]:
@@ -181,7 +216,7 @@ class TestParams:
 class TestWordValidation:
     def test_accepts_valid_cycle(self):
         w = DeBruijnWord(DBParams(2, 2), (0, 0, 1, 1))
-        assert w.vertex_cycle() == [0, 1, 3, 2]
+        assert reference_arcs(w) == {(0, 1), (1, 3), (3, 2), (2, 0)}
         assert str(w) == "00110"
 
     def test_rejects_bad_words(self):
@@ -233,11 +268,11 @@ class TestWordValidation:
             assert len(debruijn._checked_words(params, batch)) == len(batch)
         assert len(rotation_family(seed)) == 4
 
-    def test_vertex_cycle_visits_everything_once(self):
+    def test_reference_arcs_visit_everything_once(self):
         for text in REFERENCE_CYCLES_3_2:
-            cycle = word_decode(text, DBParams(3, 2)).vertex_cycle()
-            assert cycle[0] == 0
-            assert sorted(cycle) == list(range(9))
+            arcs = reference_arcs(word_decode(text, DBParams(3, 2)))
+            assert sorted(u for u, _ in arcs) == list(range(9))
+            assert sorted(v for _, v in arcs) == list(range(9))
 
 
 class TestEncodeDecode:
@@ -318,6 +353,16 @@ class TestGraphShape:
             heads = collections.Counter(v for _, v in d.arcs)
             assert heads == dict.fromkeys(range(d.vertex_count), n)
 
+    def test_rows_match_the_arc_list_construction(self):
+        small = [
+            DBParams(n, m) for n in range(2, 37) for m in range(1, 7) if n**m <= 64
+        ]
+        for p in small + [DBParams(2, 10)]:
+            d = reference_de_bruijn_graph(p)
+            assert de_bruijn_graph(p) == d, p
+            edges = [(u, v) for u, v in d.arcs if u != v]
+            assert underlying_simple_graph(p) == SimpleGraph(d.vertex_count, edges), p
+
     def test_loops_are_constant_words(self):
         p = DBParams(3, 2)
         loops = de_bruijn_graph(p).loops()
@@ -336,10 +381,10 @@ class TestGraphShape:
 
 
 class TestArcs:
-    def test_arcs_of(self):
+    def test_reference_arcs_are_graph_arcs(self):
         for text in REFERENCE_CYCLES_3_2[:4]:
             w = word_decode(text, DBParams(3, 2))
-            arcs = arcs_of(w)
+            arcs = reference_arcs(w)
             assert len(arcs) == 9
             assert all(u != v for u, v in arcs)  # loops never appear
             graph_arcs = de_bruijn_graph(DBParams(3, 2)).arcs
@@ -531,8 +576,8 @@ class TestRotationFamily:
 
 
 def reference_family(seed: DeBruijnWord) -> list[DeBruijnWord]:
-    """The rotation family one sigma at a time, each image rotated back
-    to its 0^m window and checked by the constructor."""
+    """The rotation family one sigma at a time, each image checked by
+    the constructor."""
     family = [seed]
     for _ in range(seed.params.n - 2):
         family.append(sigma(family[-1]))
@@ -556,6 +601,34 @@ def family_outcome(build, seed: DeBruijnWord):
         return "ValueError", str(exc)
     except (IndexError, AssertionError) as exc:
         return type(exc).__name__
+
+
+@st.composite
+def word_lists(draw) -> list[DeBruijnWord]:
+    """Cycles to test for shared arcs: part of a seed's rotation family,
+    which is disjoint, perhaps with one more cycle of the same graph, or
+    census words of one graph; now and then a word of another graph."""
+    if draw(st.booleans()):
+        (n, m), text = draw(st.sampled_from(SEED_TEXTS))
+        family = rotation_family(word_decode(text, DBParams(n, m)))
+        words = [w for w in family if draw(st.booleans())]
+        if draw(st.booleans()):
+            extra = draw(st.sampled_from([martin(DBParams(n, m))] + family))
+            words.insert(draw(st.integers(0, len(words))), extra)
+    else:
+        params = draw(st.sampled_from(CENSUS_PARAMS))
+        words = draw(st.lists(census_words(params), max_size=4))
+    if draw(st.integers(0, 4)) == 0:
+        words.insert(draw(st.integers(0, len(words))), draw(census_words()))
+    return words
+
+
+def conflict_outcome(find, words):
+    """The conflict found, or the message of the ValueError raised."""
+    try:
+        return find(words)
+    except ValueError as exc:
+        return "ValueError", str(exc)
 
 
 class TestFamilyBatchCheck:
@@ -585,22 +658,8 @@ class TestFamilyBatchCheck:
             rotation_family(seed)
 
     @settings(max_examples=300, derandomize=True, database=None)
-    @given(st.data())
-    def test_disjointness_agrees_with_the_pairwise_scan(self, data):
-        if data.draw(st.booleans()):
-            # part of a seed's rotation family, which is disjoint, perhaps
-            # with one more cycle of the same graph
-            (n, m), text = data.draw(st.sampled_from(SEED_TEXTS))
-            family = rotation_family(word_decode(text, DBParams(n, m)))
-            words = [w for w in family if data.draw(st.booleans())]
-            if data.draw(st.booleans()):
-                extra = data.draw(st.sampled_from([martin(DBParams(n, m))] + family))
-                words.insert(data.draw(st.integers(0, len(words))), extra)
-        else:
-            params = data.draw(st.sampled_from(CENSUS_PARAMS))
-            words = data.draw(st.lists(census_words(params), max_size=4))
-        if data.draw(st.integers(0, 4)) == 0:
-            words.insert(data.draw(st.integers(0, len(words))), data.draw(census_words()))
+    @given(word_lists())
+    def test_disjointness_agrees_with_the_pairwise_scan(self, words):
         try:
             expected = arc_conflict(words) is None
         except ValueError as exc:
@@ -624,6 +683,13 @@ class TestConflicts:
         }
         assert names == {"12->22", "21->11"}
         assert not pairwise_arc_disjoint([a, b])
+
+    @settings(max_examples=300, derandomize=True, database=None)
+    @given(word_lists())
+    def test_agrees_with_the_reference_scan(self, words):
+        assert conflict_outcome(arc_conflict, words) == conflict_outcome(
+            reference_conflict, words
+        )
 
     def test_self_conflict_is_everything(self):
         w = word_decode("0010211220", DBParams(3, 2))
@@ -661,10 +727,11 @@ class TestMaxDisjoint:
 
     def test_witness_against_brute_force(self):
         # the lexicographically first family of the largest size, found
-        # by trying every combination of cycles in order
-        for params in (DBParams(3, 2), DBParams(2, 4)):
+        # by trying every combination of cycles in order; in B(4,1) and
+        # B(5,1) some pairs of cycles share exactly one arc
+        for params in (DBParams(3, 2), DBParams(2, 4), DBParams(4, 1), DBParams(5, 1)):
             cycles = list(enumerate_hamiltonian_cycles(params))
-            arcs = [arcs_of(w) for w in cycles]
+            arcs = [reference_arcs(w) for w in cycles]
             best: tuple[int, ...] = ()
             for size in itertools.count(1):
                 family = next(

@@ -1,10 +1,11 @@
 """Source hygiene: every file parses as Python 3.10, no module-level
-import goes unused, and no private module-level name in the package
-goes unreferenced."""
+import goes unused, every name a package module exports exists, and no
+private module-level name in the package goes unreferenced."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,21 @@ def test_parses_as_python_3_10(path):
     ...).  Syntax only: a stdlib function or a regex feature that 3.10
     lacks is not caught here."""
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_exported_name_exists(path):
+    """_used_names counts each __all__ entry as used, so a stale entry
+    passes the import check; a star import, or a tool that reads every
+    exported name, would fail on it."""
+    # importing every module also binds the package's submodule names
+    modules = [
+        importlib.import_module("ordo" if p.stem == "__init__" else f"ordo.{p.stem}")
+        for p in PACKAGE
+    ]
+    module = modules[PACKAGE.index(path)]
+    missing = [entry for entry in module.__all__ if not hasattr(module, entry)]
+    assert not missing, f"{module.__name__}.__all__ names what it lacks: {', '.join(missing)}"
 
 
 def _private_definitions(tree: ast.Module, registrars: set[str]) -> dict[str, int]:
