@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -94,52 +94,27 @@ class DeBruijnWord:
 
     letters has length n^m, starts with the 0^m block, and every
     length-m window (cyclically) is distinct; all three are enforced
-    on construction.  The census and rotation_family check the same
-    conditions on a whole batch of words in one numpy pass
-    (`_columns_are_cycles`: letter range, the 0^m start, and each
-    word's windows, counted, filling 0..n^m-1 once) and build the words
-    of a batch that passes without repeating the check word by word; a
-    batch that fails goes through this constructor, which names the
-    first bad word's fault.
+    on construction by `_check_words`, the one check of cycle words,
+    which raises ValueError naming the fault, or TypeError for a letter
+    that is no int.  The census and rotation_family run it on a whole
+    batch of words at once and build the words that pass without
+    checking them again.
     """
 
     params: DBParams
     letters: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n, m = self.params.n, self.params.m
-        total = self.params.vertex_count
-        if len(self.letters) != total:
-            raise ValueError(f"cyclic word must have {total} letters, got {len(self.letters)}")
-        for c in self.letters:
-            if not 0 <= c < n:
-                raise ValueError(f"letter {c} outside 0..{n - 1}")
-        if any(self.letters[:m]):
-            raise ValueError("canonical rotation must start with the all-zero window")
-        base = n ** (m - 1)
-        window = 0  # value of letters[0..m-1]
-        seen = bytearray(total)
-        seen[0] = 1
-        for i in range(1, total):
-            window = (window % base) * n + self.letters[(i + m - 1) % total]
-            if seen[window]:
-                raise ValueError(f"window repeated at position {i}")
-            seen[window] = 1
+        _check_words(self.params, [self.letters])
 
     def __str__(self) -> str:
         return word_encode(self)
 
 
 def _checked_words(params: DBParams, rows: list[tuple[int, ...]]) -> list[DeBruijnWord]:
-    """DeBruijnWord(params, t) for every t in rows, validated in one numpy pass.
-
-    Runs the constructor's checks on the whole batch (`_batch_is_valid`).
-    When any row fails, the batch goes through the checking constructor,
-    which raises its usual error for the first bad row.
-    """
-    if _batch_is_valid(rows, params.n, params.m, params.vertex_count):
-        return _unchecked_words(params, rows)
-    return [DeBruijnWord(params, t) for t in rows]
+    """DeBruijnWord(params, t) for every t in rows, checked as one batch."""
+    _check_words(params, rows)
+    return _unchecked_words(params, rows)
 
 
 def _unchecked_words(params: DBParams, rows: Iterable[tuple[int, ...]]) -> list[DeBruijnWord]:
@@ -154,15 +129,47 @@ def _unchecked_words(params: DBParams, rows: Iterable[tuple[int, ...]]) -> list[
     return words
 
 
-def _batch_is_valid(rows: list[tuple[int, ...]], n: int, m: int, total: int) -> bool:
-    if set(map(len, rows)) != {total}:
-        return False
-    try:
-        flat = bytearray(chain.from_iterable(rows))
-    except (TypeError, ValueError):  # a letter that is no byte value
-        return False
-    letters = np.frombuffer(flat, dtype=np.uint8).reshape(-1, total)
-    return _columns_are_cycles(letters.T.astype(np.int64), n, m)
+def _check_words(params: DBParams, rows: list[tuple[int, ...]]) -> None:
+    """Return when every row is a cycle word of B(n, m); otherwise raise
+    DeBruijnWord's error for the first row that is not.
+
+    A row passes with n^m int letters in 0..n-1, starting with 0^m, and
+    distinct windows.  With the letters in range every window is below
+    n^m, so a row's n^m windows are distinct exactly when, sorted, they
+    are 0..n^m-1: one bincount over the batch, each row shifted to its
+    own n^m slots, has to be all ones.  Only a batch that fails is
+    searched for its first fault, row by row.
+    """
+    n, m, total = params.n, params.m, params.vertex_count
+    if set(map(len, rows)) == {total}:
+        try:
+            # bytearray refuses a letter that is no int in 0..255
+            flat = np.frombuffer(b"".join(map(bytearray, rows)), dtype=np.uint8)
+        except (TypeError, ValueError):
+            pass
+        else:
+            columns = flat.reshape(-1, total).T
+            if flat.max() < n and not columns[:m].any():
+                slots = _windows(columns.astype(np.int64), n, m)
+                slots += np.arange(0, flat.size, total)
+                if (np.bincount(slots.ravel(), minlength=flat.size) == 1).all():
+                    return
+    for row in rows:
+        if len(row) != total:
+            raise ValueError(f"cyclic word must have {total} letters, got {len(row)}")
+        for c in row:
+            if not 0 <= c < n:
+                raise ValueError(f"letter {c} outside 0..{n - 1}")
+        # refuses a letter that is no int, such as 1.5
+        letters = np.frombuffer(bytearray(row), dtype=np.uint8)
+        if letters[:m].any():
+            raise ValueError("canonical rotation must start with the all-zero window")
+        # the first position whose window occurred before it
+        firsts = np.zeros(total, dtype=bool)
+        windows = _windows(letters.astype(np.int64), n, m)
+        firsts[np.unique(windows, return_index=True)[1]] = True
+        if not firsts.all():
+            raise ValueError(f"window repeated at position {firsts.argmin()}")
 
 
 def _windows(columns: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -173,24 +180,6 @@ def _windows(columns: np.ndarray, n: int, m: int) -> np.ndarray:
     for j in range(1, m):
         windows = windows * n + np.concatenate((columns[j:], columns[:j]))
     return windows
-
-
-def _columns_are_cycles(columns: np.ndarray, n: int, m: int) -> bool:
-    """Whether every column of n^m int64 letters passes DeBruijnWord's
-    checks: letters in 0..n-1, the 0^m start, and distinct windows.
-
-    With the letters in range every window is below n^m, so a column's
-    n^m windows are distinct exactly when its windows, sorted, are
-    0..n^m-1: one bincount over all columns, each shifted to its own
-    n^m slots, has to be all ones.
-    """
-    total, count = columns.shape
-    if columns.size == 0:
-        return True
-    if columns.min() < 0 or columns.max() >= n or columns[:m].any():
-        return False
-    slots = _windows(columns, n, m) + np.arange(0, total * count, total)
-    return bool((np.bincount(slots.ravel(), minlength=total * count) == 1).all())
 
 
 def word_encode(word: DeBruijnWord) -> str:
@@ -482,13 +471,11 @@ def rotation_family(seed: DeBruijnWord) -> list[DeBruijnWord]:
     sigma fixes the letter 0, so the image of a word that starts at 0^m
     starts there too and needs no rotation: the n-2 images are the
     seed's letters under the powers of the letter map, built as one
-    array.  They get the constructor's checks as one batch (length,
-    letter range, the 0^m start, distinct windows); when the batch
-    fails, they go through the checking constructor, which raises its
-    usual error for the first bad image.
+    array, and checked as one batch, which raises the constructor's
+    error for the first bad image.
     """
     params = seed.params
-    n, m = params.n, params.m
+    n = params.n
     if n == 2:
         return [seed]
     smap = np.array(sigma_symbol_map(n))
@@ -496,10 +483,7 @@ def rotation_family(seed: DeBruijnWord) -> list[DeBruijnWord]:
     for _ in range(n - 3):
         powers.append(smap[powers[-1]])
     images = np.array(powers)[:, np.array(seed.letters, dtype=np.int64)]
-    rows = list(map(tuple, images.tolist()))
-    if len(seed.letters) == params.vertex_count and _columns_are_cycles(images.T, n, m):
-        return [seed] + _unchecked_words(params, rows)
-    return [seed] + [DeBruijnWord(params, t) for t in rows]
+    return [seed] + _checked_words(params, list(map(tuple, images.tolist())))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ __all__ = [
     "Digraph",
     "Tournament",
     "EdgeColoring",
-    "complete_graph",
     "complement",
     "complete_multipartite",
     "find_clique",
@@ -209,6 +208,13 @@ class Tournament:
         self.digraph: Digraph = digraph
 
     @classmethod
+    def _from_rows(cls, rows: list[int]) -> Tournament:
+        """Adopt out-rows the caller built as a tournament, unchecked."""
+        t = cls.__new__(cls)
+        t.digraph = Digraph.from_rows(rows)
+        return t
+
+    @classmethod
     def from_arcs(cls, vertex_count: int, arcs: Iterable[tuple[int, int]]) -> Tournament:
         return cls(Digraph(vertex_count, arcs))
 
@@ -330,13 +336,6 @@ class EdgeColoring:
         ]
         return cls(vertex_count, color_count, colors)
 
-    @classmethod
-    def from_graph(cls, g: SimpleGraph) -> EdgeColoring:
-        """2-coloring of K_n: color 0 for edges of g, color 1 for the rest."""
-        return cls.from_function(
-            g.vertex_count, 2, lambda u, v: 0 if g.has_edge(u, v) else 1
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeColoring):
             return NotImplemented
@@ -351,11 +350,6 @@ class EdgeColoring:
 
     def __repr__(self) -> str:
         return f"EdgeColoring(K_{self.vertex_count}, {self.color_count} colors)"
-
-
-def complete_graph(n: int) -> SimpleGraph:
-    """K_n: every pair of distinct vertices joined."""
-    return SimpleGraph(n, itertools.combinations(range(n), 2))
 
 
 def complement(g: SimpleGraph) -> SimpleGraph:
@@ -512,7 +506,7 @@ def random_tournament(n: int, rng: random.Random) -> Tournament:
     bytes, so the bits and the rng's final state are the same.
     """
     if n < 2:
-        return Tournament(Digraph.from_rows([0] * n))
+        return Tournament._from_rows([0] * n)
     m = _pair_count(n)
     # pair i's bit is the top bit of byte 4i + 3
     draw = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype=np.uint8)
@@ -521,7 +515,7 @@ def random_tournament(n: int, rng: random.Random) -> Tournament:
     bits[np.arange(n)[:, None] < np.arange(n)] = draw[3::4] >= 128
     # and v beats u < v unless u beats v
     bits |= np.tril(~bits.T, -1)
-    return Tournament(Digraph.from_rows(_rows_of(bits)))
+    return Tournament._from_rows(_rows_of(bits))
 
 
 def all_tournaments(n: int) -> Iterator[Tournament]:
@@ -538,4 +532,4 @@ def all_tournaments(n: int) -> Iterator[Tournament]:
                 rows[u] |= 1 << v
             else:
                 rows[v] |= 1 << u
-        yield Tournament(Digraph.from_rows(rows))
+        yield Tournament._from_rows(rows)

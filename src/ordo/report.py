@@ -473,9 +473,7 @@ def _seeds_4_3(seed: int) -> tuple[str, str]:
         have.add(word_encode(w))
         return listed <= have
 
-    result = rotation_seed_search(
-        params, find_all=True, time_budget=1800, on_seed=on_seed
-    )
+    result = rotation_seed_search(params, find_all=True, on_seed=on_seed)
     if listed <= have and len(result.seeds) == 18:
         return expected, expected
     missing = sorted(listed - have)

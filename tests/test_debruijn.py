@@ -174,6 +174,30 @@ def near_words(draw, params: DBParams | None = None) -> tuple[DBParams, tuple[in
     return word.params, tuple(letters)
 
 
+def reference_word_error(params: DBParams, letters: tuple[int, ...]) -> str | None:
+    """Why letters are not a cycle word of params, by walking its windows
+    one at a time: the word-check oracle.  None when they are one."""
+    n, m = params.n, params.m
+    total = params.vertex_count
+    if len(letters) != total:
+        return f"cyclic word must have {total} letters, got {len(letters)}"
+    for c in letters:
+        if not 0 <= c < n:
+            return f"letter {c} outside 0..{n - 1}"
+    if any(letters[:m]):
+        return "canonical rotation must start with the all-zero window"
+    base = n ** (m - 1)
+    window = 0  # value of letters[0..m-1]
+    seen = bytearray(total)
+    seen[0] = 1
+    for i in range(1, total):
+        window = (window % base) * n + letters[(i + m - 1) % total]
+        if seen[window]:
+            return f"window repeated at position {i}"
+        seen[window] = 1
+    return None
+
+
 def constructor_error(params: DBParams, letters: tuple[int, ...]) -> str | None:
     """The checking constructor's error message, or None if it accepts."""
     try:
@@ -234,8 +258,7 @@ class TestWordValidation:
     @given(near_words())
     def test_batch_check_agrees_with_the_constructor(self, drawn):
         params, letters = drawn
-        accepted = debruijn._batch_is_valid([letters], params.n, params.m, params.vertex_count)
-        assert accepted is (constructor_error(params, letters) is None)
+        assert constructor_error(params, letters) == reference_word_error(params, letters)
 
     @settings(max_examples=200, derandomize=True, database=None)
     @given(st.data())
@@ -244,17 +267,42 @@ class TestWordValidation:
         batch = [w.letters for w in data.draw(st.lists(census_words(params), max_size=30))]
         bad = data.draw(
             st.lists(
-                near_words(params).filter(lambda d: constructor_error(*d) is not None),
+                near_words(params).filter(lambda d: reference_word_error(*d) is not None),
                 min_size=1,
                 max_size=3,
             )
         )
         for _, letters in bad:
             batch.insert(data.draw(st.integers(0, len(batch))), letters)
-        first_bad = next(t for t in batch if constructor_error(params, t) is not None)
+        first_bad = next(t for t in batch if reference_word_error(params, t) is not None)
         with pytest.raises(ValueError) as caught:
             debruijn._checked_words(params, batch)
-        assert str(caught.value) == constructor_error(params, first_bad)
+        assert str(caught.value) == reference_word_error(params, first_bad)
+
+    @pytest.mark.parametrize("letter", [1.5, "1", None, 0.0])
+    def test_letters_that_are_no_int_are_refused(self, letter):
+        valid = martin(DBParams(3, 2)).letters
+        for i in (0, 1, 5, len(valid) - 1):
+            letters = valid[:i] + (letter,) + valid[i + 1 :]
+            with pytest.raises(TypeError):
+                DeBruijnWord(DBParams(3, 2), letters)
+            with pytest.raises(TypeError):
+                debruijn._checked_words(DBParams(3, 2), [valid, letters])
+
+    @pytest.mark.parametrize("letter", [-300, -1, 3, 256, 2**62, 10**30])
+    def test_letters_out_of_range_are_named(self, letter):
+        params = DBParams(3, 2)
+        valid = martin(params).letters
+        for i in (0, 4, len(valid) - 1):
+            letters = valid[:i] + (letter,) + valid[i + 1 :]
+            expected = f"letter {letter} outside 0..2"
+            assert reference_word_error(params, letters) == expected
+            with pytest.raises(ValueError) as caught:
+                DeBruijnWord(params, letters)
+            assert str(caught.value) == expected
+            with pytest.raises(ValueError) as caught:
+                debruijn._checked_words(params, [valid, letters, (5,) * 9])
+            assert str(caught.value) == expected
 
     def test_valid_batches_skip_the_constructor(self, monkeypatch):
         seed = martin(DBParams(5, 2))

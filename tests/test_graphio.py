@@ -213,6 +213,24 @@ FORMATS = {
 }
 
 
+# the fixed strategies of graph_texts, built once; the first three by
+# whether the text keeps to the file form
+SPACES = {
+    True: st.sampled_from((" ", "\t", "  ", " \t")),
+    False: st.sampled_from((" ", "\t") + ODD_SPACES),
+}
+BREAKS = {True: st.just("\n"), False: st.sampled_from(("\n",) + OTHER_BREAKS)}
+COMMENTS = {  # a comment or nothing
+    strict: st.one_of(st.just(""), st.text(letters, max_size=6).map(lambda t: "#" + t))
+    for strict, letters in ((True, STRICT_COMMENT_LETTERS), (False, COMMENT_LETTERS))
+}
+PADDING = {sep: st.sampled_from(("", sep)) for sep in (" ", "\t", "  ", " \t") + ODD_SPACES}
+FAULTS = st.sampled_from(("token", "drop", "copy", "repeat", "cut", "extra", "vertex"))
+# by vertex count n: a vertex, and the ends of up to 12 edge or arc lines
+VERTICES = {n: st.integers(1, n).map(str) if n else st.just("1") for n in range(7)}
+ENDS = {n: st.lists(st.tuples(v, v), max_size=12) for n, v in VERTICES.items()}
+
+
 @st.composite
 def graph_texts(draw, kind: str) -> str:
     """A text in one of the three formats, mostly well formed and in the
@@ -220,7 +238,6 @@ def graph_texts(draw, kind: str) -> str:
     breaks, spaces or numbers that only int() and str.splitlines take."""
     strict = draw(st.integers(0, 2)) > 0
     n = draw(st.integers(0, 6))
-    vertex = st.integers(1, n).map(str) if n else st.just("1")
     if kind == "coloring":
         colors = draw(st.integers(1, 3))
         header = ["n", str(n), "c", str(colors)]
@@ -231,16 +248,14 @@ def graph_texts(draw, kind: str) -> str:
         ]
     else:
         header = ["n", str(n)] if kind == "graph" else ["digraph", "n", str(n)]
-        ends = st.lists(st.tuples(vertex, vertex), max_size=12)
-        lines = [[u, v] if kind == "graph" else [u, "->", v] for u, v in draw(ends)]
+        lines = [[u, v] if kind == "graph" else [u, "->", v] for u, v in draw(ENDS[n])]
         if kind == "graph":
             lines = [line for line in lines if line[0] != line[1] or draw(st.booleans())]
     lines = [header] + lines
     for _ in range(draw(st.integers(0, 2))):  # faults
         # a strict text keeps its header unless it has no other line
         i = draw(st.integers(0 if not strict else min(1, len(lines) - 1), len(lines) - 1))
-        faults = ("token", "drop", "copy", "repeat", "cut", "extra", "vertex")
-        fault = draw(st.sampled_from(faults))
+        fault = draw(FAULTS)
         if fault == "token" and not strict:
             j = draw(st.integers(0, len(lines[i]) - 1))
             lines[i][j] = draw(st.sampled_from(ODD_NUMBERS + ("n", "->", "c", str(n + 1))))
@@ -255,23 +270,16 @@ def graph_texts(draw, kind: str) -> str:
         elif fault == "cut":
             lines[i] = lines[i][:-1]
         elif fault == "extra":
-            lines[i] = lines[i] + [draw(vertex)]
-    spaces = st.sampled_from((" ", "\t", "  ", " \t") if strict else (" ", "\t") + ODD_SPACES)
-    breaks = st.just("\n") if strict else st.sampled_from(("\n",) + OTHER_BREAKS)
-    comment_letters = STRICT_COMMENT_LETTERS if strict else COMMENT_LETTERS
-    comment = st.text(comment_letters, max_size=6).map(lambda t: "#" + t)
+            lines[i] = lines[i] + [draw(VERTICES[n])]
+    comment = COMMENTS[strict]
     out = []
     for line in [[]] * draw(st.integers(0, 2)) + lines:
-        sep = draw(spaces)
-        out.append(
-            draw(st.sampled_from(("", sep)))
-            + sep.join(line)
-            + draw(st.sampled_from(("", sep)))
-            + draw(st.one_of(st.just(""), comment))
-        )
+        sep = draw(SPACES[strict])
+        pad = PADDING[sep]
+        out.append(draw(pad) + sep.join(line) + draw(pad) + draw(comment))
         if draw(st.integers(0, 5)) == 0:  # a blank or comment line
-            out.append(draw(st.sampled_from(("", sep))) + draw(st.one_of(st.just(""), comment)))
-    return "".join(line + draw(breaks) for line in out)[: None if draw(st.booleans()) else -1]
+            out.append(draw(pad) + draw(comment))
+    return "".join(line + draw(BREAKS[strict]) for line in out)[: None if draw(st.booleans()) else -1]
 
 
 class TestBulkReaders:

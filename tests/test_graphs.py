@@ -19,7 +19,6 @@ from ordo.graphs import (
     Tournament,
     all_tournaments,
     complement,
-    complete_graph,
     complete_multipartite,
     find_clique,
     find_independent_set,
@@ -64,12 +63,6 @@ class TestSimpleGraph:
         assert a != SimpleGraph(3, [(0, 2)])
         assert a != SimpleGraph(4, [(0, 1)])
 
-    def test_complete_graph(self):
-        for n in range(8):
-            g = complete_graph(n)
-            assert g.edge_count == n * (n - 1) // 2
-        assert complete_graph(0).vertex_count == 0
-
     def test_complement_involution(self):
         rng = random.Random(7)
         for _ in range(50):
@@ -83,7 +76,7 @@ class TestSimpleGraph:
             g = _random_graph(n, rng)
             h = complement(g)
             assert not (g.edges & h.edges)
-            assert g.edges | h.edges == complete_graph(n).edges
+            assert g.edges | h.edges == complement(SimpleGraph(n)).edges
 
     def test_complement_rows_match_pair_list_construction(self):
         # the rows carry no loop bit and no bit past the last vertex
@@ -145,14 +138,14 @@ class TestCliques:
             assert find_clique(g, size) == _brute_force_clique(g, size)
 
     def test_size_one_and_full(self):
-        g = complete_graph(5)
+        g = complement(SimpleGraph(5))
         assert find_clique(g, 1) == (0,)
         assert find_clique(g, 5) == (0, 1, 2, 3, 4)
         assert find_clique(g, 6) is None
 
     def test_size_validation(self):
         with pytest.raises(ValueError):
-            find_clique(complete_graph(3), 0)
+            find_clique(complement(SimpleGraph(3)), 0)
 
     def test_independent_set_is_complement_clique(self):
         rng = random.Random(12)
@@ -527,6 +520,14 @@ class TestTournament:
             ]
             assert [t.arcs for t in all_tournaments(n)] == expected
 
+    def test_built_tournaments_pass_the_checking_constructor(self):
+        # both builders skip the check; their rows must not need it
+        built = [t for n in range(6) for t in all_tournaments(n)]
+        rng = random.Random(14)
+        built += [random_tournament(rng.choice((0, 1, 2, 3, 7, 8, 9, 30)), rng) for _ in range(200)]
+        for t in built:
+            assert Tournament(t.digraph).digraph is t.digraph
+
 
 class _CountingRandom(random.Random):
     """A Random that counts its getrandbits calls."""
@@ -560,13 +561,6 @@ class TestEdgeColoring:
         assert col.color_of(1, 3) == 0
         class_sizes = [col.color_class(c).edge_count for c in range(2)]
         assert sum(class_sizes) == 6
-
-    def test_from_graph(self):
-        g = SimpleGraph(4, [(0, 1), (2, 3)])
-        col = EdgeColoring.from_graph(g)
-        assert col.color_of(0, 1) == 0
-        assert col.color_of(0, 2) == 1
-        assert col.color_class(0) == g
 
     def test_validation(self):
         with pytest.raises(ValueError, match="colors for K_4"):
