@@ -175,10 +175,13 @@ def _check_words(params: DBParams, rows: list[tuple[int, ...]]) -> None:
 def _windows(columns: np.ndarray, n: int, m: int) -> np.ndarray:
     """The base-n value of the length-m window at each position of each
     word, cyclically, for int64 words held one per column: row i holds
-    the letters at position i, so a window is read down m rows."""
-    windows = columns
+    the letters at position i, so a window is read down m rows, summed
+    in place, one step per letter."""
+    windows = columns.copy()
     for j in range(1, m):
-        windows = windows * n + np.concatenate((columns[j:], columns[:j]))
+        windows *= n
+        windows[:-j] += columns[j:]
+        windows[-j:] += columns[:j]
     return windows
 
 
@@ -466,24 +469,25 @@ def sigma(word: DeBruijnWord) -> DeBruijnWord:
 
 
 def rotation_family(seed: DeBruijnWord) -> list[DeBruijnWord]:
-    """The n-1 cycles [seed, sigma(seed), ..., sigma^(n-2)(seed)].
+    """The n-1 cycles [seed, sigma(seed), ..., sigma^(n-2)(seed)]; the
+    images are checked as one batch, which raises the constructor's
+    error for the first bad image."""
+    return [seed] + _checked_words(seed.params, _family_rows(seed.params, seed.letters)[1:])
 
-    sigma fixes the letter 0, so the image of a word that starts at 0^m
-    starts there too and needs no rotation: the n-2 images are the
-    seed's letters under the powers of the letter map, built as one
-    array, and checked as one batch, which raises the constructor's
-    error for the first bad image.
-    """
-    params = seed.params
+
+def _family_rows(params: DBParams, letters: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """rotation_family's letters for a seed with these letters, unchecked:
+    sigma fixes 0, so each image of a word starting at 0^m starts there
+    too, and the n-2 images are one array of letter-map powers."""
     n = params.n
     if n == 2:
-        return [seed]
+        return [letters]
     smap = np.array(sigma_symbol_map(n))
     powers = [smap]  # powers[k] maps a letter to its image under sigma^(k+1)
     for _ in range(n - 3):
         powers.append(smap[powers[-1]])
-    images = np.array(powers)[:, np.array(seed.letters, dtype=np.int64)]
-    return [seed] + _checked_words(params, list(map(tuple, images.tolist())))
+    images = np.array(powers)[:, np.array(letters, dtype=np.int64)]
+    return [letters] + list(map(tuple, images.tolist()))
 
 
 @dataclass(frozen=True)

@@ -234,9 +234,15 @@ class Tournament:
 
 
 def _bit_indices(row: int) -> list[int]:
-    """The positions of the set bits of row, ascending."""
-    # one pass over the binary digits, least significant first: cheaper
-    # than peeling the low bit off a wide int once per set bit
+    """The positions of the set bits of row, ascending: peeled off a
+    sparse row bit by bit, read off the binary digits of a dense one."""
+    if row.bit_count() * 32 < row.bit_length():
+        bits = []
+        while row:
+            low = row & -row
+            bits.append(low.bit_length() - 1)
+            row ^= low
+        return bits
     return [i for i, digit in enumerate(bin(row)[:1:-1]) if digit == "1"]
 
 

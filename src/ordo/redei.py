@@ -1,11 +1,10 @@
 """Directed Hamiltonian paths in tournaments.
 
-Every tournament has one, and the insertion argument that proves it is
-also the algorithm: grow a path one vertex at a time, placing each new
-vertex at the front, at the back, or between the first consecutive
-pair it can split.  The number of such paths is always odd; a bitmask
-dynamic program counts them, cross-checked against a brute-force oracle
-over all orders.
+Every tournament has one (Redei), and the insertion proof is also the
+algorithm: put each new vertex just before the first path vertex it
+beats, which every vertex before it beats, or at the back.  The number
+of such paths is always odd; a bitmask dynamic program counts them,
+cross-checked against a brute-force oracle over all orders.
 """
 
 from __future__ import annotations
@@ -24,58 +23,46 @@ __all__ = [
 
 
 class ArcQueryCounter:
-    """Tournament wrapper counting has_arc calls; drop-in for the
-    insertion algorithm, which only ever asks those two things."""
+    """A tournament whose arc reads are counted: passed to
+    redei_hamiltonian_path in the tournament's place, it is charged one
+    query per arc the insertion reads."""
 
-    __slots__ = ("tournament", "queries", "_rows")
+    __slots__ = ("tournament", "queries")
 
     def __init__(self, tournament: Tournament) -> None:
         self.tournament = tournament
         self.queries = 0
-        self._rows = tournament.digraph.out_adj
-
-    @property
-    def vertex_count(self) -> int:
-        return self.tournament.vertex_count
-
-    def has_arc(self, u: int, v: int) -> bool:
-        self.queries += 1
-        return bool(self._rows[u] >> v & 1)
 
 
-def redei_hamiltonian_path(t: Tournament) -> list[int]:
-    """A directed Hamiltonian path, found with O(n^2) arc queries.
-
-    Vertices are inserted in ascending label order.  For the new vertex
-    r: prepend if r beats the current head; otherwise r loses to the
-    head, so scanning consecutive pairs (p, q) either finds the first
-    place with p -> r and r -> q to insert, or every path vertex beats
-    r and r is appended after the tail.
-    """
-    n = t.vertex_count
-    if n == 0:
-        return []
-    has_arc = t.has_arc
-    path = [0]
-    for r in range(1, n):
-        if has_arc(r, path[0]):
-            path.insert(0, r)
-            continue
-        for i in range(len(path) - 1):
-            if has_arc(path[i], r) and has_arc(r, path[i + 1]):
-                path.insert(i + 1, r)
+def redei_hamiltonian_path(t: Tournament | ArcQueryCounter) -> list[int]:
+    """A directed Hamiltonian path, found with at most n(n-1)/2 arc reads:
+    vertices go in by ascending label, each scanning the path from its
+    head, one arc read per vertex, to go just before the first one it
+    beats, or after the tail."""
+    counter = t if isinstance(t, ArcQueryCounter) else None
+    rows = (t if counter is None else counter.tournament).digraph.out_adj
+    path: list[int] = []
+    reads = 0
+    for r, row in enumerate(rows):
+        beaten = row & ((1 << r) - 1)  # r's out-arcs to the placed vertices
+        i = 0
+        for p in path:
+            if beaten >> p & 1:
                 break
-        else:
-            path.append(r)
+            i += 1
+        path.insert(i, r)
+        reads += i + (i < r)  # the i vertices that beat r, and the one it beats
+    if counter is not None:
+        counter.queries += reads
     return path
 
 
 def is_hamiltonian_path(t: Tournament, path: list[int]) -> bool:
     """True iff path visits every vertex once along forward arcs."""
-    n = t.vertex_count
-    if len(path) != n or set(path) != set(range(n)):
+    rows = t.digraph.out_adj
+    if len(path) != len(rows) or set(path) != set(range(len(rows))):
         return False
-    return all(t.has_arc(path[i], path[i + 1]) for i in range(n - 1))
+    return all(rows[u] >> v & 1 for u, v in zip(path, path[1:]))
 
 
 PATH_COUNT_VERTEX_LIMIT = 16  # the table holds 2^n * n counts
@@ -115,9 +102,8 @@ def count_hamiltonian_paths_oracle(t: Tournament) -> int:
     n = t.vertex_count
     if n > 8:
         raise ValueError("oracle limit: n must be <= 8")
-    has_arc = t.has_arc
-    count = 0
-    for perm in itertools.permutations(range(n)):
-        if all(has_arc(perm[i], perm[i + 1]) for i in range(n - 1)):
-            count += 1
-    return count
+    rows = t.digraph.out_adj
+    return sum(
+        all(rows[u] >> v & 1 for u, v in zip(perm, perm[1:]))
+        for perm in itertools.permutations(range(n))
+    )

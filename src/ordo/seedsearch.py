@@ -35,6 +35,8 @@ from .debruijn import (
     DBParams,
     DeBruijnWord,
     _check_vertex_limit,
+    _checked_words,
+    _family_rows,
     pairwise_arc_disjoint,
     rotation_family,
     sigma_symbol_map,
@@ -202,10 +204,10 @@ def rotation_seed_search(
             # does.
             if w % base == 0:
                 letters = ((0,) * m + tuple(syms) + (s,))[:total]
-                seed = DeBruijnWord(params, letters)
-                assert pairwise_arc_disjoint(rotation_family(seed))
-                seeds.append(seed)
-                stop = on_seed(seed, nodes) if on_seed is not None else None
+                family = _checked_words(params, _family_rows(params, letters))  # one batch
+                assert pairwise_arc_disjoint(family)
+                seeds.append(family[0])
+                stop = on_seed(family[0], nodes) if on_seed is not None else None
                 if stop or not find_all:
                     return SeedSearchResult(params, seeds, nodes, True, False)
         else:

@@ -7,6 +7,7 @@ import functools
 import itertools
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -715,6 +716,37 @@ class TestFamilyBatchCheck:
                 pairwise_arc_disjoint(words)
         else:
             assert pairwise_arc_disjoint(words) is expected
+
+
+def reference_windows(columns: np.ndarray, n: int, m: int) -> np.ndarray:
+    """_windows by a fresh sum per window letter, kept as the oracle."""
+    windows = columns
+    for j in range(1, m):
+        windows = windows * n + np.concatenate((columns[j:], columns[:j]))
+    return windows
+
+
+class TestWindows:
+    @pytest.mark.parametrize("n, m, words", [
+        (31, 2, 29),  # wide: a (31,2) rotation family
+        (4, 3, 288),
+        (3, 2, 2),  # narrow
+        (2, 11, 2),
+        (5, 2, 1),  # single words
+        (2, 4, 1),
+        (6, 1, 1),
+    ])
+    def test_equal_to_the_fresh_sums(self, n, m, words):
+        rng = np.random.default_rng(n * 100 + m)
+        columns = rng.integers(0, n, size=(n**m, words)).astype(np.int64)
+        before = columns.copy()
+        for width in (m, m + 1):  # windows of vertices, and of arcs
+            windows = debruijn._windows(columns, n, width)
+            assert np.array_equal(windows, reference_windows(columns, n, width))
+            assert windows is not columns
+        assert np.array_equal(columns, before)
+        word = columns[:, 0]  # one word as a 1-d array
+        assert np.array_equal(debruijn._windows(word, n, m), reference_windows(word, n, m))
 
 
 class TestConflicts:

@@ -425,6 +425,18 @@ class TestBitsetViews:
                     assert hash(d) == hash(e)
             assert Digraph(n) != Digraph(n + 1)
 
+    @settings(max_examples=400, derandomize=True, database=None)
+    @given(st.integers(0, 20000).flatmap(
+        lambda width: st.lists(st.integers(0, max(width - 1, 0)), max_size=width // 16 + 3)
+    ))
+    def test_bit_indices_sparse_and_dense(self, positions):
+        # rows of up to 20,000 bits with few set bits take the peeling
+        # branch; their complements within the width take the digit walk
+        row = sum(1 << i for i in set(positions))
+        width = row.bit_length()
+        for r in (row, ((1 << width) - 1) ^ row):
+            assert graphs._bit_indices(r) == [i for i in range(width) if r >> i & 1]
+
 
 def _tournament_error(n: int, arcs: frozenset[tuple[int, int]]) -> str | None:
     """Pairwise oracle: the first complaint about a vertex, in vertex order."""
