@@ -2,7 +2,8 @@
 
 One subcommand per area: tournament paths, Ramsey checks, extremal
 graphs, De Bruijn cycles, and the reproduce harness.  Exit codes:
-0 success, 1 refuted/mismatch, 2 usage or input error, 3 budget hit.
+0 success, 1 refuted/mismatch, 2 usage or input error, 3 budget hit
+(seed-search only: reproduce has no budget and always runs to its end).
 """
 
 from __future__ import annotations
@@ -127,10 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--cache", metavar="FILE", help="append found seeds to this cache file")
 
     p = sub.add_parser("reproduce", help="recompute every reference claim and compare")
-    tier = p.add_mutually_exclusive_group()
-    tier.add_argument("--quick", action="store_true", help="fast entries only")
-    tier.add_argument("--long", action="store_true", help="include the stretch searches")
-    p.add_argument("--budget", type=float, metavar="SECONDS", help="skip entries once exceeded")
+    p.add_argument("--quick", action="store_true", help="fast entries only")
     p.add_argument("--json", metavar="FILE", help="also write the JSON report")
     p.add_argument("--seed", type=int, default=0, help="seed for the randomized sweeps (default 0)")
 
@@ -310,8 +308,7 @@ def _cmd_seed_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    tier = "quick" if args.quick else "long" if args.long else "default"
-    report = reproduce_all(tier=tier, budget=args.budget, seed=args.seed)
+    report = reproduce_all(tier="quick" if args.quick else "default", seed=args.seed)
     sys.stdout.write(render_table(report))
     if args.json:
         _write_file_atomic(args.json, report.to_json())

@@ -32,9 +32,7 @@ __all__ = [
     "complement",
     "complete_multipartite",
     "find_clique",
-    "has_clique",
     "find_independent_set",
-    "has_independent_set",
     "max_edges_without_clique_oracle",
     "random_tournament",
     "all_tournaments",
@@ -430,17 +428,9 @@ def find_clique(g: SimpleGraph, size: int) -> tuple[int, ...] | None:
     return _clique_in(g.adj, (1 << g.vertex_count) - 1, size)
 
 
-def has_clique(g: SimpleGraph, size: int) -> bool:
-    return find_clique(g, size) is not None
-
-
 def find_independent_set(g: SimpleGraph, size: int) -> tuple[int, ...] | None:
     """Dual of find_clique: a clique of the complement."""
     return find_clique(complement(g), size)
-
-
-def has_independent_set(g: SimpleGraph, size: int) -> bool:
-    return find_independent_set(g, size) is not None
 
 
 def _popcount_u32(a: np.ndarray) -> np.ndarray:

@@ -7,19 +7,22 @@ discrepancies in the reference data itself (the greedy (3,2) linear
 form and the (3,4) cycle count); they are reported as
 "flagged-discrepancy", never as a plain match, and never fail a run.
 
-Entries are grouped in tiers: "quick" entries always run, "default"
-adds the minute-scale recomputations, and "long" adds the stretch
-searches.  Everything runs in one process, in registry order, and
-reads no environment: a run starts from scratch every time.  Results
-come out as a fixed-width table and as JSON that is byte-identical
-between runs with the same flags, apart from the timestamp and the
-runtime fields.
+Entries are grouped in two tiers: "quick" entries always run, and
+"default" adds the (3,3) census and the first-seed searches.  Every
+entry runs to its end, so a run is one fixed, bounded computation.
+The report checks that the (7,2) reference word is a seed, but not
+that it is the first (7,2) seed in word order: no bounded search gets
+there, and that search is left to `ordo debruijn seed-search 7 2`.
+Everything runs in one process, in registry order, and reads no
+environment: a run starts from scratch every time.  Results come out
+as a fixed-width table and as JSON that is byte-identical between
+runs with the same flags, apart from the timestamp and the runtime
+fields.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import random
 import time
 from dataclasses import dataclass
@@ -77,12 +80,11 @@ from .turan import turan_extremal_graph, turan_max_edges, turan_params
 
 __all__ = ["ReportEntry", "Report", "reproduce_all", "render_table"]
 
-TIERS = ("quick", "default", "long")
+TIERS = ("quick", "default")
 
 STATUS_MATCH = "match"
 STATUS_MISMATCH = "mismatch"
 STATUS_FLAGGED = "flagged-discrepancy"
-STATUS_SKIPPED = "skipped"
 
 # reference cycle list for B(3,2), row-major as published
 REFERENCE_CYCLES_3_2 = (
@@ -136,24 +138,14 @@ class Report:
     entries: list[ReportEntry]
 
     def counts(self) -> dict[str, int]:
-        out = {
-            STATUS_MATCH: 0,
-            STATUS_MISMATCH: 0,
-            STATUS_FLAGGED: 0,
-            STATUS_SKIPPED: 0,
-        }
+        out = {STATUS_MATCH: 0, STATUS_MISMATCH: 0, STATUS_FLAGGED: 0}
         for e in self.entries:
             out[e.status] += 1
         return out
 
     @property
     def exit_code(self) -> int:
-        counts = self.counts()
-        if counts[STATUS_MISMATCH]:
-            return 1
-        if counts[STATUS_SKIPPED]:
-            return 3
-        return 0
+        return 1 if self.counts()[STATUS_MISMATCH] else 0
 
     def to_json(self) -> str:
         doc = {
@@ -180,11 +172,11 @@ class Report:
 # --- registry -------------------------------------------------------------
 
 # claim -> (tier, flagged, fn), in report order
-_REGISTRY: dict[str, tuple[str, bool, Callable[[int], tuple]]] = {}
+_REGISTRY: dict[str, tuple[str, bool, Callable[[int], tuple[str, str]]]] = {}
 
 
 def _entry(claim: str, tier: str, flagged: bool = False):
-    def wrap(fn: Callable[[int], tuple]):
+    def wrap(fn: Callable[[int], tuple[str, str]]):
         if claim in _REGISTRY:
             raise ValueError(f"duplicate claim {claim!r}")
         _REGISTRY[claim] = (tier, flagged, fn)
@@ -399,10 +391,6 @@ def _disjoint_2_3(seed: int) -> tuple[str, str]:
 # --- seed searches --------------------------------------------------------
 
 
-# wall-clock seconds for the (7,2) stretch entry
-STRETCH_TIME_BUDGET = 900
-
-
 def _full_tree_search(n: int, m: int, expected_total: int) -> tuple[str, str]:
     params = DBParams(n, m)
     listed = REFERENCE_SEEDS[(n, m)]
@@ -428,19 +416,11 @@ def _seeds_4_2(seed: int) -> tuple[str, str]:
     return _full_tree_search(4, 2, 288)
 
 
-def _first_seed_search(
-    n: int, m: int, time_budget: float | None = None
-) -> tuple[str, str] | tuple[str, str, str]:
+def _first_seed_search(n: int, m: int) -> tuple[str, str]:
     params = DBParams(n, m)
     listed = REFERENCE_SEEDS[(n, m)][0]
     expected = "the reference seed, found first"
-    result = rotation_seed_search(params, find_all=False, time_budget=time_budget)
-    if result.budget_exhausted:
-        return (
-            expected,
-            f"budget exhausted after {result.nodes_explored} nodes; not refuted",
-            STATUS_SKIPPED,
-        )
+    result = rotation_seed_search(params, find_all=False)
     if not result.seeds:
         return expected, "no seed found"
     first = word_encode(result.seeds[0])
@@ -452,17 +432,17 @@ def _seeds_5_2(seed: int) -> tuple[str, str]:
     return _first_seed_search(5, 2)
 
 
-@_entry("seed search (3,3), first seed", "long")
+@_entry("seed search (3,3), first seed", "default")
 def _seeds_3_3(seed: int) -> tuple[str, str]:
     return _first_seed_search(3, 3)
 
 
-@_entry("seed search (6,2), first seed", "long")
+@_entry("seed search (6,2), first seed", "default")
 def _seeds_6_2(seed: int) -> tuple[str, str]:
     return _first_seed_search(6, 2)
 
 
-@_entry("seed search (4,3), both reference seeds", "long")
+@_entry("seed search (4,3), both reference seeds", "default")
 def _seeds_4_3(seed: int) -> tuple[str, str]:
     params = DBParams(4, 3)
     listed = set(REFERENCE_SEEDS[(4, 3)])
@@ -482,20 +462,13 @@ def _seeds_4_3(seed: int) -> tuple[str, str]:
     return expected, f"found after {len(result.seeds)} words"
 
 
-@_entry("seed validity (7,2)", "long")
+@_entry("seed validity (7,2)", "default")
 def _seed_valid_7_2(seed: int) -> tuple[str, str]:
     expected = "the reference word is a rotation seed (6 disjoint cycles)"
     family = rotation_family(word_decode(REFERENCE_SEEDS[(7, 2)][0], DBParams(7, 2)))
     if len(family) == 6 and pairwise_arc_disjoint(family):
         return expected, expected
     return expected, "family is not arc-disjoint"
-
-
-@_entry("seed search (7,2), stretch", "long")
-def _seeds_7_2(seed: int) -> tuple[str, str] | tuple[str, str, str]:
-    # the reference seed is the first (7,2) seed in lexicographic order,
-    # so a first-seed search decides the claim; it starts over each run
-    return _first_seed_search(7, 2, STRETCH_TIME_BUDGET)
 
 
 # --- ramsey ---------------------------------------------------------------
@@ -811,12 +784,9 @@ def _transitive_tournament(n: int) -> Tournament:
 def _run_one(claim: str, seed: int) -> ReportEntry:
     tier, flagged, fn = _REGISTRY[claim]
     start = time.perf_counter()
-    result = fn(seed)
+    expected, computed = fn(seed)
     runtime = time.perf_counter() - start
-    expected, computed = result[0], result[1]
-    if len(result) > 2:
-        status = result[2]
-    elif flagged:
+    if flagged:
         status = STATUS_FLAGGED
     elif expected == computed:
         status = STATUS_MATCH
@@ -830,31 +800,12 @@ def _selected_claims(tier: str) -> list[str]:
     return [claim for claim, (t, _, _) in _REGISTRY.items() if TIERS.index(t) <= depth]
 
 
-def _skipped(claim: str) -> ReportEntry:
-    tier = _REGISTRY[claim][0]
-    return ReportEntry(claim, tier, "", "run budget exhausted", STATUS_SKIPPED, 0.0)
-
-
-def reproduce_all(
-    tier: str = "default", budget: float | None = None, seed: int = 0
-) -> Report:
-    """Run every entry of the tier, one after another in registry order.
-
-    budget is a wall-clock cutoff in seconds: an entry already running
-    finishes, and every entry not started before it expires is reported
-    as skipped."""
+def reproduce_all(tier: str = "default", seed: int = 0) -> Report:
+    """Run every entry of the tier, one after another in registry order."""
     if tier not in TIERS:
         raise ValueError(f"tier must be one of {TIERS}")
-    if budget is not None and math.isnan(budget):
-        raise ValueError("budget must be a number of seconds, not NaN")
     generated_at = datetime.now(timezone.utc).isoformat()
-    deadline = None if budget is None else time.monotonic() + budget
-    entries: list[ReportEntry] = []
-    for claim in _selected_claims(tier):
-        if deadline is not None and time.monotonic() > deadline:
-            entries.append(_skipped(claim))
-        else:
-            entries.append(_run_one(claim, seed))
+    entries = [_run_one(claim, seed) for claim in _selected_claims(tier)]
     return Report(generated_at, tier, seed, entries)
 
 
@@ -871,12 +822,7 @@ def render_table(report: Report) -> str:
             lines.append(f"{'':{width}}   computed: {e.computed}")
     counts = report.counts()
     lines.append(
-        "summary: {match} match, {mismatch} mismatch, {flagged} flagged-discrepancy, "
-        "{skipped} skipped".format(
-            match=counts[STATUS_MATCH],
-            mismatch=counts[STATUS_MISMATCH],
-            flagged=counts[STATUS_FLAGGED],
-            skipped=counts[STATUS_SKIPPED],
-        )
+        f"summary: {counts[STATUS_MATCH]} match, {counts[STATUS_MISMATCH]} mismatch, "
+        f"{counts[STATUS_FLAGGED]} flagged-discrepancy"
     )
     return "\n".join(lines) + "\n"

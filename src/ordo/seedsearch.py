@@ -67,8 +67,12 @@ class SeedSearchResult:
     params: DBParams
     seeds: list[DeBruijnWord]
     nodes_explored: int
-    completed: bool  # tree exhausted, or first seed found when find_all is off
     budget_exhausted: bool
+
+    @property
+    def completed(self) -> bool:
+        # tree exhausted, or the search stopped at a seed as asked
+        return not self.budget_exhausted
 
 
 def _sigma_arc_map(params: DBParams) -> list[int]:
@@ -112,10 +116,24 @@ def rotation_seed_search(
     on_seed fires for each seed the moment it is found; a truthy return
     value ends the search early (still counted as completed).
     Refuses n^m > SEED_SEARCH_VERTEX_LIMIT before building its tables.
+    B(n,1) for even n >= 4 holds no seed, and is answered without a
+    search: no seeds, 0 nodes, completed.
     """
     _check_vertex_limit(params, SEED_SEARCH_VERTEX_LIMIT, "seed search")
     _check_time_budget(time_budget)
+    if resume_after is not None and resume_after.params != params:
+        raise ValueError("resume word belongs to a different graph")
     n, m = params.n, params.m
+    if m == 1 and n >= 4 and n % 2 == 0:
+        # no seed, by arithmetic.  B(n,1) is the complete digraph on the
+        # letters, and sigma adds 1 to the non-zero letters, read as
+        # Z_(n-1).  Two arcs between non-zero letters with the same
+        # difference are in one orbit, so a seed's n-2 such arcs have the
+        # n-2 distinct non-zero differences.  They form the path from a,
+        # the letter after 0, to b, the letter before it, so they sum to
+        # b - a; for odd n-1 the non-zero residues sum to 0, so a = b,
+        # which a cycle through n >= 3 letters cannot have
+        return SeedSearchResult(params, [], 0, False)
     total = params.vertex_count
     base = n ** (m - 1)
     low = (1 << n) - 1
@@ -147,8 +165,6 @@ def rotation_seed_search(
             table[taken] = tuple(t for t in steps[w] if not taken >> t[0] & 1)
         return table[taken]
 
-    if resume_after is not None and resume_after.params != params:
-        raise ValueError("resume word belongs to a different graph")
     bound = [] if resume_after is None else _extension_letters(resume_after)
 
     seeds: list[DeBruijnWord] = []
@@ -157,7 +173,7 @@ def rotation_seed_search(
     if (node_budget is not None and node_budget <= 0) or (
         deadline is not None and time.monotonic() > deadline
     ):
-        return SeedSearchResult(params, seeds, nodes, False, True)
+        return SeedSearchResult(params, seeds, nodes, True)
 
     state = 1
     syms: list[int] = []
@@ -184,7 +200,7 @@ def rotation_seed_search(
     limit = sys.maxsize if node_budget is None else node_budget
     check_at = min(limit, sys.maxsize if deadline is None else _BUDGET_CHECK_STRIDE)
     if check_at <= nodes:
-        return SeedSearchResult(params, seeds, check_at, False, True)
+        return SeedSearchResult(params, seeds, check_at, True)
     last = total - 2  # the depth of the last vertex
     while stack:
         for s, w, add in stack[-1]:
@@ -209,7 +225,7 @@ def rotation_seed_search(
                 seeds.append(family[0])
                 stop = on_seed(family[0], nodes) if on_seed is not None else None
                 if stop or not find_all:
-                    return SeedSearchResult(params, seeds, nodes, True, False)
+                    return SeedSearchResult(params, seeds, nodes, False)
         else:
             saved.append(state)
             state |= add
@@ -220,9 +236,9 @@ def rotation_seed_search(
             stack.append(iter(free_steps(w, state) if here is None else here))
         if nodes == check_at:
             if nodes == node_budget or time.monotonic() > deadline:
-                return SeedSearchResult(params, seeds, nodes, False, True)
+                return SeedSearchResult(params, seeds, nodes, True)
             check_at = min(limit, nodes + _BUDGET_CHECK_STRIDE)
-    return SeedSearchResult(params, seeds, nodes, True, False)
+    return SeedSearchResult(params, seeds, nodes, False)
 
 
 def append_seed_cache(path: str, word: DeBruijnWord, nodes_explored: int) -> None:

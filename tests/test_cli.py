@@ -7,7 +7,6 @@ import json
 import random
 import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
@@ -432,29 +431,9 @@ class TestSeedSearch:
 
 
 class TestReproduce:
-    def test_zero_budget_skips(self, tmp_path, capsys):
-        out_file = str(tmp_path / "report.json")
-        code, out, _ = run(
-            capsys, "reproduce", "--quick", "--budget", "0", "--json", out_file
-        )
-        assert code == 3
-        assert "skipped" in out
-        doc = json.loads(Path(out_file).read_text())
-        assert doc["exit_code"] == 3
-        assert doc["tier"] == "quick"
-
-    def test_nan_budget_refused(self, tmp_path, capsys):
-        out_file = tmp_path / "report.json"
-        code, out, err = run(
-            capsys, "reproduce", "--quick", "--budget", "nan", "--json", str(out_file)
-        )
-        assert (code, out) == (2, "")
-        assert "not NaN" in err
-        assert not out_file.exists()
-
     def test_json_is_atomic_and_valid(self, tmp_path, capsys):
         out_file = tmp_path / "r.json"
-        run(capsys, "reproduce", "--quick", "--budget", "0", "--json", str(out_file))
+        code, _, _ = run(capsys, "reproduce", "--quick", "--json", str(out_file))
         doc = json.loads(out_file.read_text())
         assert set(doc) == {
             "generated_at",
@@ -464,6 +443,17 @@ class TestReproduce:
             "summary",
             "exit_code",
         }
+        assert (code, doc["exit_code"], doc["tier"]) == (0, 0, "quick")
+        assert set(doc["summary"]) == {"match", "mismatch", "flagged-discrepancy"}
+        assert list(tmp_path.iterdir()) == [out_file]  # no temporary file left
+
+    def test_removed_flags_are_usage_errors(self, capsys):
+        # the report is one bounded run: no stretch tier, no run budget
+        for argv in (["--long"], ["--budget", "10"], ["--quick", "--budget", "0"]):
+            with pytest.raises(SystemExit) as info:
+                main(["reproduce", *argv])
+            assert info.value.code == 2, argv
+            assert capsys.readouterr().out == "", argv
 
 
 class TestUsage:

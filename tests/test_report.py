@@ -1,13 +1,12 @@
-"""Reproduction harness: registry, statuses, budgets, rendering."""
+"""Reproduction harness: registry, statuses, tiers, rendering."""
 
 from __future__ import annotations
 
+import inspect
 import json
-import time
 
 import pytest
 
-from ordo import report as report_module
 from ordo.debruijn import DBParams, word_decode
 from ordo.graphs import SimpleGraph, complete_multipartite
 from ordo.report import (
@@ -15,7 +14,6 @@ from ordo.report import (
     STATUS_FLAGGED,
     STATUS_MATCH,
     STATUS_MISMATCH,
-    STATUS_SKIPPED,
     TIERS,
     Report,
     ReportEntry,
@@ -40,9 +38,8 @@ class TestRegistry:
     def test_tiers_nest(self):
         quick = _selected_claims("quick")
         default = _selected_claims("default")
-        long_ = _selected_claims("long")
-        assert set(quick) <= set(default) <= set(long_)
-        assert len(long_) == len(_REGISTRY)
+        assert set(quick) < set(default)
+        assert default == list(_REGISTRY)
 
     def test_flagged_entries(self):
         flagged = {claim for claim, (_, f, _) in _REGISTRY.items() if f}
@@ -69,6 +66,17 @@ class TestRunOne:
         assert entry.status == STATUS_FLAGGED
         assert entry.expected != entry.computed
         assert "12635683568857645056" in entry.computed
+
+    def test_seed_search_entries_match(self):
+        for claim in (
+            "seed search (3,3), first seed",
+            "seed search (6,2), first seed",
+            "seed search (4,3), both reference seeds",
+            "seed validity (7,2)",
+        ):
+            entry = _run_one(claim, seed=0)
+            assert (entry.tier, entry.status) == ("default", STATUS_MATCH), claim
+            assert entry.expected == entry.computed
 
 
 def _same_letter_else_largest(n: int, m: int) -> str | None:
@@ -127,25 +135,17 @@ class TestReportObject:
                 ReportEntry("a", "quick", "1", "1", STATUS_MATCH, 0.1),
                 ReportEntry("b", "quick", "2", "3", STATUS_MISMATCH, 0.2),
                 ReportEntry("c", "quick", "4", "5", STATUS_FLAGGED, 0.3),
-                ReportEntry("d", "quick", "", "skipped", STATUS_SKIPPED, 0.0),
             ],
         )
 
     def test_counts(self):
         report = self._synthetic()
-        assert report.counts() == {
-            STATUS_MATCH: 1,
-            STATUS_MISMATCH: 1,
-            STATUS_FLAGGED: 1,
-            STATUS_SKIPPED: 1,
-        }
+        assert report.counts() == {STATUS_MATCH: 1, STATUS_MISMATCH: 1, STATUS_FLAGGED: 1}
 
     def test_exit_codes(self):
         report = self._synthetic()
-        assert report.exit_code == 1  # mismatch dominates
+        assert report.exit_code == 1  # a mismatch fails the run
         report.entries[1].status = STATUS_MATCH
-        assert report.exit_code == 3  # then skipped
-        report.entries[3].status = STATUS_MATCH
         assert report.exit_code == 0  # flagged alone stays green
 
     def test_json_document(self):
@@ -153,57 +153,25 @@ class TestReportObject:
         assert doc["tier"] == "quick"
         assert doc["exit_code"] == 1
         assert doc["summary"][STATUS_MISMATCH] == 1
-        assert len(doc["entries"]) == 4
+        assert len(doc["entries"]) == 3
         assert doc["entries"][0]["claim"] == "a"
 
     def test_render_table(self):
         text = render_table(self._synthetic())
-        assert "summary: 1 match, 1 mismatch, 1 flagged-discrepancy, 1 skipped" in text
+        assert text.endswith("summary: 1 match, 1 mismatch, 1 flagged-discrepancy\n")
         # non-matching entries carry expected/computed detail lines
-        assert text.count("expected:") == 3
-        assert text.count("computed:") == 3
+        assert text.count("expected:") == 2
+        assert text.count("computed:") == 2
 
 
 class TestReproduceAll:
     def test_rejects_unknown_tier(self):
-        with pytest.raises(ValueError, match="tier"):
-            reproduce_all(tier="exhaustive")
+        for tier in ("exhaustive", "long"):
+            with pytest.raises(ValueError, match="tier"):
+                reproduce_all(tier=tier)
 
-    def test_rejects_nan_budget(self):
-        # no clock reading is ever past a NaN deadline
-        with pytest.raises(ValueError, match="not NaN"):
-            reproduce_all(tier="quick", budget=float("nan"))
-
-    def test_zero_budget_skips_everything(self):
-        report = reproduce_all(tier="quick", budget=0.0)
-        assert all(e.status == STATUS_SKIPPED for e in report.entries)
-        assert report.exit_code == 3
-        assert len(report.entries) == len(_selected_claims("quick"))
-
-    def test_budget_runs_out_mid_run(self, monkeypatch):
-        # entries not started before the deadline are skipped, in order
-        budget = 0.2
-
-        def outlast(seed):
-            time.sleep(budget + 0.1)
-            return "x", "x"
-
-        registry = {
-            "first": ("quick", False, lambda seed: ("x", "x")),
-            "second": ("quick", False, outlast),
-            "third": ("quick", False, lambda seed: ("x", "x")),
-        }
-        monkeypatch.setattr(report_module, "_REGISTRY", registry)
-        report = reproduce_all(tier="quick", budget=budget)
-        assert [(e.claim, e.status) for e in report.entries] == [
-            ("first", STATUS_MATCH),
-            ("second", STATUS_MATCH),
-            ("third", STATUS_SKIPPED),
-        ]
-        assert report.exit_code == 3
-
-    def test_stretch_entry_skips_when_its_budget_runs_out(self, monkeypatch):
-        monkeypatch.setattr(report_module, "STRETCH_TIME_BUDGET", 0)
-        entry = _run_one("seed search (7,2), stretch", seed=0)
-        assert entry.status == STATUS_SKIPPED
-        assert entry.computed == "budget exhausted after 0 nodes; not refuted"
+    def test_benchmark_contract(self):
+        # perfbench/workloads.py runs reproduce_all(tier="quick", seed=...)
+        # and pins the quick tier's 37 claims in registry order
+        assert {"tier", "seed"} <= set(inspect.signature(reproduce_all).parameters)
+        assert len(_selected_claims("quick")) == 37

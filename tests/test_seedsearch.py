@@ -126,8 +126,8 @@ def searched(params: DBParams, find_all: bool = False, **kwargs):
     return seeds, result.nodes_explored, result.completed, result.budget_exhausted
 
 
-# every B(n, m) with n^m <= 16; the trees of (12,1), (14,1) and (16,1)
-# hold no seed in millions of nodes, so every search is capped
+# every B(n, m) with n^m <= 16; the reference's trees of (12,1), (14,1)
+# and (16,1) hold no seed in millions of nodes, so its searches are capped
 SMALL_GRAPHS = [
     DBParams(n, m) for n in range(2, 17) for m in range(1, 5) if n**m <= 16
 ]
@@ -138,6 +138,24 @@ RESUMABLE = (DBParams(3, 2), DBParams(4, 2), DBParams(2, 4))
 @functools.lru_cache(maxsize=None)
 def census_words(params: DBParams) -> tuple[DeBruijnWord, ...]:
     return tuple(enumerate_hamiltonian_cycles(params))
+
+
+def no_seed_by_arithmetic(params: DBParams) -> bool:
+    return params.m == 1 and params.n >= 4 and params.n % 2 == 0
+
+
+def expected_search(
+    params: DBParams,
+    find_all: bool,
+    node_budget: int | None,
+    resume_after: DeBruijnWord | None = None,
+):
+    """What searched() must return: B(n,1) for even n >= 4 holds no seed
+    and is answered before any node, whatever the budget; every other
+    graph is the reference search."""
+    if no_seed_by_arithmetic(params):
+        return [], 0, True, False
+    return reference_seed_search(params, find_all, node_budget, resume_after)
 
 
 @functools.lru_cache(maxsize=None)
@@ -153,8 +171,17 @@ class TestAgainstTheReference:
         size = tree_size(params, find_all, None)
         for budget in sorted({0, 1, size - 1, size, size + 1, NODE_CAP}):
             assert searched(params, find_all, node_budget=budget) == (
-                reference_seed_search(params, find_all, budget)
+                expected_search(params, find_all, budget)
             ), budget
+
+    def test_even_complete_digraphs_hold_no_seed(self):
+        # the reference's full trees agree with the arithmetic where they fit
+        for n in (4, 6, 8, 10):
+            for find_all in (True, False):
+                seeds, _, completed, exhausted = reference_seed_search(DBParams(n, 1), find_all)
+                assert (seeds, completed, exhausted) == ([], True, False), n
+        # answered before the clock is read
+        assert searched(DBParams(16, 1), time_budget=0.0) == ([], 0, True, False)
 
     def test_budgets_along_the_resume_walk(self):
         # the resume word's path is walked before the main loop, so a budget
@@ -185,7 +212,7 @@ class TestAgainstTheReference:
         if size < NODE_CAP and data.draw(st.booleans()):
             budget = None
         assert searched(params, find_all, node_budget=budget, resume_after=resume) == (
-            reference_seed_search(params, find_all, budget, resume)
+            expected_search(params, find_all, budget, resume)
         )
 
 
