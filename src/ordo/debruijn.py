@@ -19,6 +19,7 @@ end (the form in which every window can be read off left to right).
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
@@ -365,10 +366,16 @@ def enumerate_hamiltonian_cycles(params: DBParams) -> Iterator[DeBruijnWord]:
 
     B(n, m) is the line digraph of B(n, m-1), so a vertex's successors
     depend only on its last m-1 letters, and the completions of a path
-    depend only on its visited set and that suffix.  The last
-    max(1, n^m // 3) letters of every cycle therefore come from a memo
-    keyed by that pair, built in ascending letter order so that the
-    words still come out sorted.
+    depend only on its visited set and that suffix.  The visited set
+    fixes the suffix as well: the path's vertices are arcs of B(n, m-1)
+    that form a trail from 0^(m-1), and a trail ends at the one vertex
+    it has entered more often than left, or where it began.  The last
+    max(1, n^m // 2 - 1) letters of every cycle therefore come from a
+    memo keyed by the visited set, built in ascending letter order so
+    that the words still come out sorted.  Each entry holds its tails
+    end to end in one bytes object, which keeps the memo small at that
+    depth: the (3,3) census takes its last 12 letters from 34,151
+    entries.
 
     Every word is validated as DeBruijnWord's constructor would, but
     CENSUS_BATCH words at a time in one numpy pass (`_checked_words`),
@@ -385,7 +392,6 @@ def _cycle_letters(params: DBParams) -> Iterator[tuple[int, ...]]:
     n, m = params.n, params.m
     total = params.vertex_count
     base = n ** (m - 1)
-    full = (1 << total) - 1
     head = (0,) * m
     # the successors of a vertex with suffix r are r * n + s, so their n
     # visited bits sit together at r * n.  By suffix and the mask of those
@@ -396,31 +402,43 @@ def _cycle_letters(params: DBParams) -> Iterator[tuple[int, ...]]:
         [tuple(t for t in row if not taken >> t[0] & 1) for taken in range(low + 1)]
         for row in steps
     ]
-    memo: dict[int, list[tuple[int, ...]]] = {}
+    letter = [bytes((s,)) for s in range(n)]
+    # a visited set's tails as one bytes object: at this depth a list of
+    # tuples per entry holds about three times the memory
+    memo: dict[int, bytes] = {}
 
-    def tails(visited: int, r: int) -> list[tuple[int, ...]]:
-        # sorted letter sequences that finish the cycle from a path with
-        # this visited bitmask, ending at a vertex with suffix r
-        key = visited * base + r
-        found = memo.get(key)
+    def tails(visited: int, r: int, size: int) -> bytes:
+        # the sorted letter sequences, each size long, that finish the
+        # cycle from a path with this visited bitmask, joined end to end;
+        # the path ends at a vertex with suffix r, which visited fixes
+        found = memo.get(visited)
         if found is None:
-            found = []
+            parts = []
+            k = size - 1
             for s, w, q in free_steps[r][visited >> r * n & low]:
-                if visited | 1 << w == full:
-                    # w is the last vertex; the cycle closes iff its arc
-                    # back to 0^m exists, i.e. appending letter 0 gives 0^m
-                    if q == 0:
-                        found.append((s,))
-                else:
-                    found.extend([(s,) + t for t in tails(visited | 1 << w, q)])
-            memo[key] = found
+                if size == 1:
+                    # w is the last vertex, and its arc back to 0^m exists:
+                    # the path's vertices are the arcs of B(n, m-1), each
+                    # once, and a trail through every arc of a digraph with
+                    # in-degree = out-degree everywhere ends where it began
+                    parts.append(letter[s])
+                elif rest := tails(visited | 1 << w, q, k):
+                    # letter s in front of each of rest's tails
+                    chunks = [rest[i : i + k] for i in range(0, len(rest), k)]
+                    parts += (letter[s], letter[s].join(chunks))
+            found = memo[visited] = b"".join(parts)
         return found
 
-    # letters the DFS appends before the memo supplies the rest
-    cut = total - 1 - max(1, total // 3)
-    if cut <= 0:
-        for t in tails(1, 0):
-            yield (head + t)[:total]
+    # the memo supplies a cycle's last depth letters, and the prefix DFS
+    # the cut letters before them
+    depth = max(1, total // 2 - 1)
+    cut = total - 1 - depth
+    # a tail's last m-1 letters are the zeros that lead back to 0^m, which
+    # the cyclic word already starts with: unpack each tail without them
+    unpack = struct.Struct(f"<{depth - (m - 1)}B{m - 1}x").iter_unpack
+    if cut == 0:
+        for t in unpack(tails(1, 0, depth)):
+            yield head + t
         return
     # each frame reads its free steps once, when it is pushed: it sees one
     # visited set, which its children restore when they backtrack
@@ -439,8 +457,9 @@ def _cycle_letters(params: DBParams) -> Iterator[tuple[int, ...]]:
             continue
         if len(syms) + 1 == cut:
             prefix = head + tuple(syms) + (s,)
-            for t in tails(visited | 1 << w, q):
-                yield (prefix + t)[:total]
+            # a plain loop: `yield from map(...)` costs more on short tails
+            for t in unpack(tails(visited | 1 << w, q, depth)):
+                yield prefix + t
             continue
         saved.append(visited)
         visited |= 1 << w

@@ -5,7 +5,11 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -553,6 +557,34 @@ class TestCensus:
         assert count == 373_248 == count_hamiltonian_cycles(p)
         assert first == lyndon_cycle(3, 3)
         assert prev == martin(p).letters
+
+    def test_three_three_census_memory(self):
+        # the memo holds each entry's tails as one bytes object.  Draining
+        # the census raises a fresh process's peak RSS by about 4.6 MB; a
+        # list of tuples per entry at the same depth raises it by about
+        # 13 MB.  tracemalloc sees the same, but tracing the census's
+        # allocations takes ten times as long as the census, and
+        # ru_maxrss carries the parent's peak over into the child.
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("reads the peak RSS from /proc/self/status")
+        script = """
+from ordo.debruijn import DBParams, enumerate_hamiltonian_cycles
+
+def peak_kib():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+
+before = peak_kib()
+count = sum(1 for _ in enumerate_hamiltonian_cycles(DBParams(3, 3)))
+print(count, (peak_kib() - before) * 1024)
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(debruijn.__file__).parent.parent)}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True, timeout=120,
+            capture_output=True, text=True,
+        ).stdout.split()
+        assert int(out[0]) == 373_248
+        assert int(out[1]) < 6_000_000
 
     def test_every_word_is_validated(self, monkeypatch):
         # a kernel fault is caught in whichever batch it lands: the

@@ -144,6 +144,23 @@ def no_seed_by_arithmetic(params: DBParams) -> bool:
     return params.m == 1 and params.n >= 4 and params.n % 2 == 0
 
 
+def sequencings(k: int) -> int:
+    """How many orderings 0, a1, ..., a(k-1) of the integers mod k have
+    k distinct partial sums (B. Gordon, Pacific J. Math. 11, 1961)."""
+
+    def extend(used: int, sums: int, total: int, left: int) -> int:
+        if not left:
+            return 1
+        count = 0
+        for a in range(1, k):
+            s = (total + a) % k
+            if not (used >> a | sums >> s) & 1:
+                count += extend(used | 1 << a, sums | 1 << s, s, left - 1)
+        return count
+
+    return extend(1, 1, 0, k - 1)
+
+
 def expected_search(
     params: DBParams,
     find_all: bool,
@@ -250,6 +267,16 @@ class TestFullSearch:
             "0001011100",
             "0001110100",
         ]
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+    def test_odd_complete_digraphs_by_sequencings(self, n):
+        # after 0, a seed of B(n,1) runs through the other n-1 letters, read
+        # as Z_(n-1), with distinct differences: the partial sums of a
+        # sequencing, shifted to start at any of the n-1 letters
+        result = rotation_seed_search(DBParams(n, 1), find_all=True)
+        assert result.completed
+        assert len(result.seeds) == (n - 1) * sequencings(n - 1)
+        assert sequencings(n - 1) == {3: 1, 5: 2, 7: 4, 9: 24, 11: 288}[n]
 
 
 class TestAgainstTheCensus:
