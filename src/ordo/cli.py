@@ -226,15 +226,14 @@ def _cmd_debruijn(args: argparse.Namespace) -> int:
     if cmd == "graph":
         params = db.DBParams(args.n, args.m)
         if args.flower:
-            sys.stdout.write(db.flower_dot(params))
+            g, dot_lines = db.underlying_simple_graph(params), graphio._graph_dot_lines
         elif args.dot:
-            d = db.de_bruijn_graph(params)
-            names = [db.word_of_vertex(v, params) for v in range(d.vertex_count)]
-            sys.stdout.writelines(
-                graphio._digraph_dot_lines(d, names=names, title=f"B_{params.n}_{params.m}")
-            )
+            g, dot_lines = db.de_bruijn_graph(params), graphio._digraph_dot_lines
         else:
             sys.stdout.writelines(graphio._digraph_lines(db.de_bruijn_graph(params)))
+            return 0
+        names = [db.word_of_vertex(v, params) for v in range(g.vertex_count)]
+        sys.stdout.writelines(dot_lines(g, names=names, title=f"B_{params.n}_{params.m}"))
         return 0
     if cmd == "martin":
         print(db.word_encode(db.martin(db.DBParams(args.n, args.m))))

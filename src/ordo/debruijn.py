@@ -27,7 +27,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .graphs import GRAPH_VERTEX_LIMIT, Digraph, SimpleGraph, _clique_in, _rows_of
-from .graphio import graph_to_dot
 
 __all__ = [
     "ALPHABET",
@@ -39,7 +38,6 @@ __all__ = [
     "word_of_vertex",
     "de_bruijn_graph",
     "underlying_simple_graph",
-    "flower_dot",
     "martin",
     "count_hamiltonian_cycles",
     "enumerate_hamiltonian_cycles",
@@ -288,13 +286,6 @@ def underlying_simple_graph(params: DBParams) -> SimpleGraph:
     return SimpleGraph._from_rows(
         [(row | spread << v // n) & ~(1 << v) for v, row in enumerate(d.out_adj)]
     )
-
-
-def flower_dot(params: DBParams) -> str:
-    """DOT drawing of the underlying simple graph, nodes named by word."""
-    g = underlying_simple_graph(params)
-    names = [word_of_vertex(v, params) for v in range(g.vertex_count)]
-    return graph_to_dot(g, names=names, title=f"B_{params.n}_{params.m}")
 
 
 def martin(params: DBParams) -> DeBruijnWord:

@@ -10,12 +10,11 @@ below and R(3,3,3) from below.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .graphs import EdgeColoring, SimpleGraph, _clique_in, find_clique
+from .graphs import GRAPH_VERTEX_LIMIT, EdgeColoring, SimpleGraph, _clique_in, find_clique
 
 __all__ = [
     "MonochromaticWitness",
@@ -128,26 +127,32 @@ def exhaustive_ramsey_check(
     return True, None
 
 
-@functools.cache
+# m * k table cells: about a second of big-int sums, and it keeps the
+# diagonal at k <= 1414, below the float overflow of 2^(k/2) at k = 2048
+RECURRENCE_LIMIT = 2_000_000
+
+
 def recurrence_upper_bound(m: int, k: int) -> int:
     """Upper bound from R(m,k) <= R(m-1,k) + R(m,k-1).
 
-    Base cases R(1,k) = 1 and R(2,k) = k; when both summands are even
-    the bound improves by one.
+    Base case R(1,k) = 1; when both summands are even the bound improves
+    by one.  Filled in row by row, m * k sums, refused beyond
+    RECURRENCE_LIMIT of them.
     """
     if m < 1 or k < 1:
         raise ValueError("need m >= 1 and k >= 1")
-    if m > k:
-        return recurrence_upper_bound(k, m)
-    if m == 1:
-        return 1
-    if m == 2:
-        return k
-    a = recurrence_upper_bound(m - 1, k)
-    b = recurrence_upper_bound(m, k - 1)
-    if a % 2 == 0 and b % 2 == 0:
-        return a + b - 1
-    return a + b
+    if m * k > RECURRENCE_LIMIT:
+        raise ValueError(f"recurrence limit: m * k must be <= {RECURRENCE_LIMIT}")
+    m, k = min(m, k), max(m, k)
+    # row[j] holds R(i, j) for j >= i - 1; row i overwrites row i - 1,
+    # starting from its mirror entry R(i, i-1) = R(i-1, i)
+    row = [1] * (k + 1)
+    for i in range(2, m + 1):
+        row[i - 1] = row[i]
+        for j in range(i, k + 1):
+            a, b = row[j], row[j - 1]
+            row[j] = a + b - 1 if a % 2 == 0 and b % 2 == 0 else a + b
+    return row[k]
 
 
 def erdos_szekeres_bound(m: int, k: int) -> int:
@@ -197,17 +202,18 @@ def andrasfai_graph(k: int) -> SimpleGraph:
     """Circulant on 3k-1 vertices, distances k..2k-1 joined.
 
     Triangle-free and without any independent set of k+1 vertices,
-    certifying R(3, k+1) > 3k - 1.
+    certifying R(3, k+1) > 3k - 1.  Refuses 3k-1 > GRAPH_VERTEX_LIMIT
+    before building.
     """
     if k < 1:
         raise ValueError("need k >= 1")
     n = 3 * k - 1
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if k <= (v - u) % n <= 2 * k - 1:
-                edges.append((u, v))
-    return SimpleGraph(n, edges)
+    if n > GRAPH_VERTEX_LIMIT:
+        raise ValueError(f"graph limit: n must be <= {GRAPH_VERTEX_LIMIT}")
+    # row u is the distance mask, bits k..2k-1, rotated by u within n bits
+    full = (1 << n) - 1
+    mask = ((1 << k) - 1) << k
+    return SimpleGraph._from_rows([(mask << u | mask >> n - u) & full for u in range(n)])
 
 
 def k17_mod3_coloring() -> EdgeColoring:

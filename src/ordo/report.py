@@ -22,6 +22,7 @@ fields.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import time
@@ -171,15 +172,22 @@ class Report:
 
 # --- registry -------------------------------------------------------------
 
-# claim -> (tier, flagged, fn), in report order
+# claim -> (tier, flagged, fn), in report order; fn(seed) -> (expected, computed)
 _REGISTRY: dict[str, tuple[str, bool, Callable[[int], tuple[str, str]]]] = {}
 
 
-def _entry(claim: str, tier: str, flagged: bool = False):
-    def wrap(fn: Callable[[int], tuple[str, str]]):
-        if claim in _REGISTRY:
-            raise ValueError(f"duplicate claim {claim!r}")
-        _REGISTRY[claim] = (tier, flagged, fn)
+def _entry(claim: str, tier: str, *args, flagged: bool = False):
+    """Register the decorated checker for `claim`, run as checker(*args, seed).
+
+    The claim takes its place in the registry when this call is made, so
+    a checker's stacked decorators register its claims top to bottom.
+    """
+    if claim in _REGISTRY:
+        raise ValueError(f"duplicate claim {claim!r}")
+    _REGISTRY[claim] = (tier, flagged, None)
+
+    def wrap(fn: Callable[..., tuple[str, str]]):
+        _REGISTRY[claim] = (tier, flagged, functools.partial(fn, *args))
         return fn
 
     return wrap
@@ -192,26 +200,18 @@ def _sweep(expected: str, failures: list[str]) -> tuple[str, str]:
 # --- greedy construction --------------------------------------------------
 
 
-@_entry("martin linear form (2,1)", "quick")
-def _martin_2_1(seed: int) -> tuple[str, str]:
-    return "01", word_encode(martin(DBParams(2, 1)))
-
-
-@_entry("martin linear form (2,3)", "quick")
-def _martin_2_3(seed: int) -> tuple[str, str]:
-    return "0001110100", word_encode(martin(DBParams(2, 3)))
-
-
-@_entry("martin linear form (3,2)", "quick", flagged=True)
-def _martin_3_2(seed: int) -> tuple[str, str]:
-    # the reference prints 0022112010; the greedy rule itself yields
-    # 0022120110 (window 12 is still fresh after 00221), so this entry
-    # stays a flagged discrepancy of the reference data.  0022112010 is
-    # the word of another greedy rule, "append the last letter again if
-    # its window is fresh, else the largest letter whose window is",
-    # which completes on (3,2) and (4,2) but gets stuck on (2,3), (3,3)
-    # and (2,4)
-    return "0022112010", word_encode(martin(DBParams(3, 2)))
+@_entry("martin linear form (2,1)", "quick", 2, 1, "01")
+@_entry("martin linear form (2,3)", "quick", 2, 3, "0001110100")
+# the reference prints 0022112010; the greedy rule itself yields
+# 0022120110 (window 12 is still fresh after 00221), so this entry
+# stays a flagged discrepancy of the reference data.  0022112010 is
+# the word of another greedy rule, "append the last letter again if
+# its window is fresh, else the largest letter whose window is",
+# which completes on (3,2) and (4,2) but gets stuck on (2,3), (3,3)
+# and (2,4)
+@_entry("martin linear form (3,2)", "quick", 3, 2, "0022112010", flagged=True)
+def _martin(n: int, m: int, expected: str, seed: int) -> tuple[str, str]:
+    return expected, word_encode(martin(DBParams(n, m)))
 
 
 @_entry("greedy cycle is never a rotation seed", "quick")
@@ -228,22 +228,11 @@ def _martin_never_seed(seed: int) -> tuple[str, str]:
 # --- graph shape ----------------------------------------------------------
 
 
-@_entry("de bruijn census (2,3)", "quick")
-def _census_2_3(seed: int) -> tuple[str, str]:
-    d = de_bruijn_graph(DBParams(2, 3))
-    return (
-        "8 vertices, 16 arcs, 2 loops",
-        f"{d.vertex_count} vertices, {d.arc_count} arcs, {len(d.loops())} loops",
-    )
-
-
-@_entry("de bruijn census (3,2)", "quick")
-def _census_3_2(seed: int) -> tuple[str, str]:
-    d = de_bruijn_graph(DBParams(3, 2))
-    return (
-        "9 vertices, 27 arcs, 3 loops",
-        f"{d.vertex_count} vertices, {d.arc_count} arcs, {len(d.loops())} loops",
-    )
+@_entry("de bruijn census (2,3)", "quick", 2, 3, "8 vertices, 16 arcs, 2 loops")
+@_entry("de bruijn census (3,2)", "quick", 3, 2, "9 vertices, 27 arcs, 3 loops")
+def _census(n: int, m: int, expected: str, seed: int) -> tuple[str, str]:
+    d = de_bruijn_graph(DBParams(n, m))
+    return expected, f"{d.vertex_count} vertices, {d.arc_count} arcs, {len(d.loops())} loops"
 
 
 @_entry("flower view (3,2)", "quick")
@@ -277,10 +266,19 @@ def _enum_2_3(seed: int) -> tuple[str, str]:
     return " and ".join(REFERENCE_CYCLES_2_3), " and ".join(words)
 
 
-@_entry("cycle count formula, small cases", "quick")
-def _count_small(seed: int) -> tuple[str, str]:
-    reference = {(2, 2): 1, (2, 3): 2, (3, 2): 24, (2, 4): 16}
-    expected = "(2,2): 1, (2,3): 2, (3,2): 24, (2,4): 16; formula = enumeration"
+@_entry(
+    "cycle count formula, small cases",
+    "quick",
+    {(2, 2): 1, (2, 3): 2, (3, 2): 24, (2, 4): 16},
+    "(2,2): 1, (2,3): 2, (3,2): 24, (2,4): 16; formula = enumeration",
+)
+@_entry(
+    "cycle count formula (3,3)",
+    "default",
+    {(3, 3): 373248},
+    "373248 cycles; formula = enumeration",
+)
+def _count(reference: dict[tuple[int, int], int], expected: str, seed: int) -> tuple[str, str]:
     failures = []
     for (n, m), want in reference.items():
         params = DBParams(n, m)
@@ -289,16 +287,6 @@ def _count_small(seed: int) -> tuple[str, str]:
         if formula != want or enumerated != want:
             failures.append(f"({n},{m}): formula {formula}, enumeration {enumerated}")
     return _sweep(expected, failures)
-
-
-@_entry("cycle count formula (3,3)", "default")
-def _count_3_3(seed: int) -> tuple[str, str]:
-    expected = "373248 cycles; formula = enumeration"
-    formula = count_hamiltonian_cycles(DBParams(3, 3))
-    enumerated = sum(1 for _ in enumerate_hamiltonian_cycles(DBParams(3, 3)))
-    if formula == enumerated == 373248:
-        return expected, expected
-    return expected, f"formula {formula}, enumeration {enumerated}"
 
 
 @_entry("cycle count formula (3,4)", "quick", flagged=True)
@@ -368,22 +356,12 @@ def _family_5_2(seed: int) -> tuple[str, str]:
 # --- arc-disjoint maxima --------------------------------------------------
 
 
-@_entry("max arc-disjoint families, exact (3,2)", "quick")
-def _disjoint_3_2(seed: int) -> tuple[str, str]:
-    expected = "2 cycles, meeting the n-1 bound"
-    size, witness = max_disjoint_exact(DBParams(3, 2))
-    bound = max_disjoint_upper_bound(3)
-    if size == bound == 2 and pairwise_arc_disjoint(witness):
-        return expected, expected
-    return expected, f"size {size}, bound {bound}"
-
-
-@_entry("max arc-disjoint families, exact (2,3)", "quick")
-def _disjoint_2_3(seed: int) -> tuple[str, str]:
-    expected = "1 cycle, meeting the n-1 bound"
-    size, witness = max_disjoint_exact(DBParams(2, 3))
-    bound = max_disjoint_upper_bound(2)
-    if size == bound == 1 and pairwise_arc_disjoint(witness):
+@_entry("max arc-disjoint families, exact (3,2)", "quick", 3, 2, "2 cycles, meeting the n-1 bound")
+@_entry("max arc-disjoint families, exact (2,3)", "quick", 2, 3, "1 cycle, meeting the n-1 bound")
+def _disjoint(n: int, m: int, expected: str, seed: int) -> tuple[str, str]:
+    size, witness = max_disjoint_exact(DBParams(n, m))
+    bound = max_disjoint_upper_bound(n)
+    if size == bound == n - 1 and pairwise_arc_disjoint(witness):
         return expected, expected
     return expected, f"size {size}, bound {bound}"
 
@@ -391,7 +369,9 @@ def _disjoint_2_3(seed: int) -> tuple[str, str]:
 # --- seed searches --------------------------------------------------------
 
 
-def _full_tree_search(n: int, m: int, expected_total: int) -> tuple[str, str]:
+@_entry("seed search (3,2), full tree", "quick", 3, 2, 4)
+@_entry("seed search (4,2), full tree", "quick", 4, 2, 288)
+def _full_tree_search(n: int, m: int, expected_total: int, seed: int) -> tuple[str, str]:
     params = DBParams(n, m)
     listed = REFERENCE_SEEDS[(n, m)]
     expected = f"{expected_total} words, including both reference seeds"
@@ -406,17 +386,10 @@ def _full_tree_search(n: int, m: int, expected_total: int) -> tuple[str, str]:
     return _sweep(expected, failures)
 
 
-@_entry("seed search (3,2), full tree", "quick")
-def _seeds_3_2(seed: int) -> tuple[str, str]:
-    return _full_tree_search(3, 2, 4)
-
-
-@_entry("seed search (4,2), full tree", "quick")
-def _seeds_4_2(seed: int) -> tuple[str, str]:
-    return _full_tree_search(4, 2, 288)
-
-
-def _first_seed_search(n: int, m: int) -> tuple[str, str]:
+@_entry("seed search (5,2), first seed", "default", 5, 2)
+@_entry("seed search (3,3), first seed", "default", 3, 3)
+@_entry("seed search (6,2), first seed", "default", 6, 2)
+def _first_seed_search(n: int, m: int, seed: int) -> tuple[str, str]:
     params = DBParams(n, m)
     listed = REFERENCE_SEEDS[(n, m)][0]
     expected = "the reference seed, found first"
@@ -425,21 +398,6 @@ def _first_seed_search(n: int, m: int) -> tuple[str, str]:
         return expected, "no seed found"
     first = word_encode(result.seeds[0])
     return expected, expected if first == listed else f"found {first} first"
-
-
-@_entry("seed search (5,2), first seed", "default")
-def _seeds_5_2(seed: int) -> tuple[str, str]:
-    return _first_seed_search(5, 2)
-
-
-@_entry("seed search (3,3), first seed", "default")
-def _seeds_3_3(seed: int) -> tuple[str, str]:
-    return _first_seed_search(3, 3)
-
-
-@_entry("seed search (6,2), first seed", "default")
-def _seeds_6_2(seed: int) -> tuple[str, str]:
-    return _first_seed_search(6, 2)
 
 
 @_entry("seed search (4,3), both reference seeds", "default")
@@ -474,29 +432,18 @@ def _seed_valid_7_2(seed: int) -> tuple[str, str]:
 # --- ramsey ---------------------------------------------------------------
 
 
-@_entry("ramsey check (3,3): K_5 no, K_6 yes", "quick")
-def _ramsey_3_3(seed: int) -> tuple[str, str]:
-    expected = "counterexample on K_5 verified; K_6 forced"
+@_entry("ramsey check (3,3): K_5 no, K_6 yes", "quick", 3, 3, 5)
+@_entry("ramsey check (3,4): K_8 no, K_9 yes", "quick", 3, 4, 8)
+def _ramsey(m: int, k: int, n: int, seed: int) -> tuple[str, str]:
+    # K_n has a coloring with no red K_m and no blue K_k; K_{n+1} has none
+    expected = f"counterexample on K_{n} verified; K_{n + 1} forced"
     failures = []
-    holds5, cx5 = exhaustive_ramsey_check(3, 3, 5)
-    if holds5 or cx5 is None or verify_coloring(cx5, (3, 3)) is not None:
-        failures.append("K_5 check broken")
-    holds6, cx6 = exhaustive_ramsey_check(3, 3, 6)
-    if not holds6 or cx6 is not None:
-        failures.append("K_6 not forced")
-    return _sweep(expected, failures)
-
-
-@_entry("ramsey check (3,4): K_8 no, K_9 yes", "quick")
-def _ramsey_3_4(seed: int) -> tuple[str, str]:
-    expected = "counterexample on K_8 verified; K_9 forced"
-    failures = []
-    holds8, cx8 = exhaustive_ramsey_check(3, 4, 8)
-    if holds8 or cx8 is None or verify_coloring(cx8, (3, 4)) is not None:
-        failures.append("K_8 check broken")
-    holds9, cx9 = exhaustive_ramsey_check(3, 4, 9)
-    if not holds9 or cx9 is not None:
-        failures.append("K_9 not forced")
+    holds, cx = exhaustive_ramsey_check(m, k, n)
+    if holds or cx is None or verify_coloring(cx, (m, k)) is not None:
+        failures.append(f"K_{n} check broken")
+    holds, cx = exhaustive_ramsey_check(m, k, n + 1)
+    if not holds or cx is not None:
+        failures.append(f"K_{n + 1} not forced")
     return _sweep(expected, failures)
 
 

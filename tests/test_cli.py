@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import random
+import signal
 import sys
+import time
 import tracemalloc
 
 import pytest
 
-from ordo.cli import main
+from ordo.cli import build_parser, main
 from ordo.debruijn import DBParams, martin, word_decode
 from ordo.graphio import write_coloring, write_digraph
 from ordo.graphs import Tournament, random_tournament
@@ -146,6 +149,21 @@ class TestRamsey:
         assert out.startswith("n 8")
         assert len(out.strip().splitlines()) == 1 + 12
 
+    def test_bounds_refuses_past_the_recurrence_limit(self, capsys):
+        for argv in (("2100", "2100"), ("3", "1000000"), ("2000000", "2")):
+            code, out, err = run(capsys, "ramsey", "bounds", *argv)
+            assert (code, out) == (2, ""), argv
+            assert "recurrence limit: m * k must be <= 2000000" in err
+
+    def test_bounds_within_the_recurrence_limit(self, capsys):
+        code, out, _ = run(capsys, "ramsey", "bounds", "3", "100000")
+        assert code == 0
+        assert out == "recurrence upper bound: 5000000001\nbinomial upper bound:   5000050000\n"
+        # 1414^2 <= 2,000,000: the diagonal's float 2^707 prints too
+        code, out, _ = run(capsys, "ramsey", "bounds", "1414", "1414")
+        assert code == 0
+        assert "probabilistic lower bound: " in out
+
     def test_k17_dot(self, capsys):
         code, out, _ = run(capsys, "ramsey", "k17", "--dot")
         assert code == 0
@@ -229,6 +247,7 @@ class TestDebruijn:
             (("graph", "36", "8"), "graph limit"),
             (("graph", "36", "8", "--dot"), "graph limit"),
             (("graph", "36", "8", "--flower"), "graph limit"),
+            (("graph", "36", "3", "--flower"), "graph limit"),
             (("martin", "2", "30"), "martin limit"),
         ):
             code, out, err = run(capsys, "debruijn", *argv)
@@ -254,7 +273,11 @@ class TestDebruijn:
     def test_flower(self, capsys):
         code, out, _ = run(capsys, "debruijn", "graph", "3", "2", "--flower")
         assert code == 0
-        assert out.startswith("graph B_3_2")
+        assert out.startswith("graph B_3_2 {\n")
+        assert '  "00" -- "01";\n' in out
+        assert out.count(" -- ") == 21
+        assert out.count(";\n") == 9 + 21
+        assert out.endswith("}\n")
 
     def test_sigma(self, capsys):
         code, out, _ = run(capsys, "debruijn", "sigma", "0011220210")
@@ -473,3 +496,66 @@ class TestUsage:
         assert info.value.code == 0
         out = capsys.readouterr().out
         assert "redei" in out and "reproduce" in out
+
+
+def _integer_commands(parser: argparse.ArgumentParser, prefix: tuple[str, ...] = ()):
+    """(argv prefix, parser) of every leaf subcommand with an int positional."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _integer_commands(child, prefix + (name,))
+            return
+    if any(a.type is int and not a.option_strings for a in parser._actions):
+        yield prefix, parser
+
+
+class _Hung(Exception):
+    pass
+
+
+def _hang_up(signum, frame):
+    raise _Hung
+
+
+INTEGER_COMMANDS = list(_integer_commands(build_parser()))
+
+
+class TestRefusals:
+    def test_the_walk_finds_every_integer_command(self):
+        assert sorted(" ".join(prefix) for prefix, _ in INTEGER_COMMANDS) == [
+            "debruijn count",
+            "debruijn enumerate",
+            "debruijn graph",
+            "debruijn martin",
+            "debruijn seed-search",
+            "ramsey andrasfai",
+            "ramsey bounds",
+            "ramsey search",
+            "turan bound",
+            "turan graph",
+            "turan verify",
+        ]
+
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs an interval timer")
+    @pytest.mark.parametrize("value", [10**9, -1])
+    @pytest.mark.parametrize(
+        "prefix, parser", INTEGER_COMMANDS, ids=[" ".join(p) for p, _ in INTEGER_COMMANDS]
+    )
+    def test_extreme_integers_end_at_once(self, prefix, parser, value, capsys):
+        # every int positional set to the value; a call must end with 0 or
+        # 2 in a few seconds, and a hang is cut by the timer
+        positionals = [a for a in parser._actions if a.type is int and not a.option_strings]
+        argv = [*prefix, *[str(value)] * len(positionals)]
+        previous = signal.signal(signal.SIGALRM, _hang_up)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        start = time.perf_counter()
+        try:
+            code = main(argv)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert code in (0, 2), (argv, code, err)
+        assert code == 0 or (out == "" and err.startswith("error: ")), (argv, out, err)
+        assert elapsed < 5.0, (argv, elapsed)

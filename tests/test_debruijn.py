@@ -28,7 +28,6 @@ from ordo.debruijn import (
     count_hamiltonian_cycles,
     de_bruijn_graph,
     enumerate_hamiltonian_cycles,
-    flower_dot,
     infer_params,
     martin,
     max_disjoint_exact,
@@ -426,12 +425,6 @@ class TestGraphShape:
         assert g.vertex_count == 9
         assert g.edge_count == 21
 
-    def test_flower_dot(self):
-        dot = flower_dot(DBParams(3, 2))
-        assert dot.startswith("graph B_3_2")
-        assert '"00" -- "01"' in dot
-        assert dot.count("--") == 21
-
 
 class TestArcs:
     def test_reference_arcs_are_graph_arcs(self):
@@ -452,7 +445,6 @@ class TestSizeGuards:
             (de_bruijn_graph, DBParams(36, 8), "graph limit"),
             (de_bruijn_graph, DBParams(2, 15), "graph limit"),
             (underlying_simple_graph, DBParams(5, 7), "graph limit"),
-            (flower_dot, DBParams(36, 3), "graph limit"),
             (martin, DBParams(2, 30), "martin limit"),
             (martin, DBParams(2, 21), "martin limit"),
             (martin, DBParams(36, 4), "martin limit"),

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from ordo.graphs import EdgeColoring, find_clique, find_independent_set
+from ordo.graphs import EdgeColoring, SimpleGraph, find_clique, find_independent_set
 from ordo.ramsey import (
     KNOWN_VALUE_RANGE,
     MonochromaticWitness,
@@ -144,7 +145,42 @@ class TestExhaustiveCheck:
             exhaustive_ramsey_check(0, 3, 3)
 
 
+@functools.cache
+def reference_recurrence_bound(m: int, k: int) -> int:
+    """The recurrence bound as the recursion it is defined by, for the
+    small m and k the call stack allows."""
+    if m > k:
+        return reference_recurrence_bound(k, m)
+    if m == 1:
+        return 1
+    if m == 2:
+        return k
+    a = reference_recurrence_bound(m - 1, k)
+    b = reference_recurrence_bound(m, k - 1)
+    return a + b - 1 if a % 2 == 0 and b % 2 == 0 else a + b
+
+
+def reference_andrasfai_graph(k: int) -> SimpleGraph:
+    """H_{3k-1} from its definition: u ~ v when (v - u) mod n is in k..2k-1."""
+    n = 3 * k - 1
+    pairs = itertools.combinations(range(n), 2)
+    return SimpleGraph(n, [(u, v) for u, v in pairs if k <= (v - u) % n <= 2 * k - 1])
+
+
 class TestBounds:
+    def test_recurrence_matches_the_recursion(self):
+        for m in range(1, 41):
+            for k in range(1, 41):
+                assert recurrence_upper_bound(m, k) == reference_recurrence_bound(m, k), (m, k)
+
+    def test_recurrence_limit(self):
+        # 2100 * 2100 sums would take seconds and 2^(2100/2) overflows a
+        # float; 3 * 10^9 sums would take hours
+        assert recurrence_upper_bound(2, 1_000_000) == 1_000_000
+        for m, k in ((2100, 2100), (3, 10**9), (10**9, 3), (2, 1_000_001)):
+            with pytest.raises(ValueError, match="recurrence limit"):
+                recurrence_upper_bound(m, k)
+
     def test_recurrence_values(self):
         assert recurrence_upper_bound(3, 3) == 6
         assert recurrence_upper_bound(3, 4) == 9  # both-even refinement
@@ -211,6 +247,18 @@ class TestAndrasfai:
         g = andrasfai_graph(3)
         assert g.vertex_count == 8
         assert g.edge_count == 12
+
+    def test_rotated_rows_match_the_definition(self):
+        for k in range(1, 40):
+            assert andrasfai_graph(k) == reference_andrasfai_graph(k), k
+
+    def test_graph_limit(self):
+        assert andrasfai_graph(5461).vertex_count == 16382
+        for k in (5462, 10**9):
+            with pytest.raises(ValueError, match="graph limit: n must be <= 16384"):
+                andrasfai_graph(k)
+        with pytest.raises(ValueError, match=">= 1"):
+            andrasfai_graph(0)
 
 
 class TestK17:

@@ -27,6 +27,85 @@ from ordo.report import (
 
 FLAGGED_CLAIMS = {"martin linear form (3,2)", "cycle count formula (3,4)"}
 
+# (claim, tier, flagged, expected) of every entry, in registry order: a
+# change to a checker that rewrote an expected text together with its
+# computed text would still read "match"
+PINNED_ENTRIES = [
+    ("martin linear form (2,1)", "quick", False, "01"),
+    ("martin linear form (2,3)", "quick", False, "0001110100"),
+    ("martin linear form (3,2)", "quick", True, "0022112010"),
+    ("greedy cycle is never a rotation seed", "quick", False,
+     "(3,2), (3,3), (4,2): every greedy family shares arcs"),
+    ("de bruijn census (2,3)", "quick", False, "8 vertices, 16 arcs, 2 loops"),
+    ("de bruijn census (3,2)", "quick", False, "9 vertices, 27 arcs, 3 loops"),
+    ("flower view (3,2)", "quick", False, "9 vertices, 21 edges"),
+    ("cycle enumeration (3,2)", "quick", False, "the 24 reference cycles, in lexicographic order"),
+    ("cycle enumeration (2,3)", "quick", False, "0001011100 and 0001110100"),
+    ("cycle count formula, small cases", "quick", False,
+     "(2,2): 1, (2,3): 2, (3,2): 24, (2,4): 16; formula = enumeration"),
+    ("cycle count formula (3,3)", "default", False, "373248 cycles; formula = enumeration"),
+    ("cycle count formula (3,4)", "quick", True,
+     "13824 * 10077696^3 = 14148730862126934905585664"),
+    ("letter rotation is an automorphism (3,2)", "quick", False,
+     "every image is a reference cycle; applying twice is the identity"),
+    ("shared arcs of the reference pair (3,2)", "quick", False, "12->22 and 21->11"),
+    ("rotation family of 0011220210", "quick", False,
+     "0011220210 and 0022110120, pairwise arc-disjoint"),
+    ("rotation family of the (5,2) reference seed", "quick", False,
+     "the 4 reference cycles, pairwise arc-disjoint"),
+    ("max arc-disjoint families, exact (3,2)", "quick", False, "2 cycles, meeting the n-1 bound"),
+    ("max arc-disjoint families, exact (2,3)", "quick", False, "1 cycle, meeting the n-1 bound"),
+    ("seed search (3,2), full tree", "quick", False, "4 words, including both reference seeds"),
+    ("seed search (4,2), full tree", "quick", False, "288 words, including both reference seeds"),
+    ("seed search (5,2), first seed", "default", False, "the reference seed, found first"),
+    ("seed search (3,3), first seed", "default", False, "the reference seed, found first"),
+    ("seed search (6,2), first seed", "default", False, "the reference seed, found first"),
+    ("seed search (4,3), both reference seeds", "default", False,
+     "both reference seeds among the first 18 completing words"),
+    ("seed validity (7,2)", "default", False,
+     "the reference word is a rotation seed (6 disjoint cycles)"),
+    ("ramsey check (3,3): K_5 no, K_6 yes", "quick", False,
+     "counterexample on K_5 verified; K_6 forced"),
+    ("ramsey check (3,4): K_8 no, K_9 yes", "quick", False,
+     "counterexample on K_8 verified; K_9 forced"),
+    ("triangle-free circulant H_8", "quick", False,
+     "8 vertices, 12 edges, 3-regular, no triangle, no 4 independent"),
+    ("circulant family H_2 .. H_14", "quick", False,
+     "k = 1..5 all triangle-free without k+1 independent; bounds consistent"),
+    ("reference bounds table", "quick", False,
+     "36 entries, symmetric, lower <= upper <= recurrence <= binomial"),
+    ("recurrence bound at (3,4)", "quick", False, "recurrence 9, binomial 10"),
+    ("triangle bounds, many colors", "quick", False,
+     "r = 2: 6, r = 3: 17; multinomial (3,3): 6, (3,3,3): 90"),
+    ("probabilistic diagonal bound", "quick", False,
+     "2^(k/2) below the reference lower bound for k = 3..10"),
+    ("combined bounds for R(3,k)", "quick", False,
+     "3(k-1) <= lower and upper <= k(k+1)/2 for k = 3..10"),
+    ("three-colored K_17", "quick", False,
+     "reference triangles monochromatic; every class has one"),
+    ("clique-free maxima: formula vs oracle", "quick", False,
+     "formula = oracle for all 1 <= k <= n <= 7"),
+    ("extremal graph examples", "quick", False,
+     "(5,2): 6 edges K_{3,2}; (7,3): 16 edges K_{3,2,2}; (13,4): 63 edges K_{4,3,3,3}"),
+    ("extremal graphs to n = 50", "quick", False,
+     "edge counts and structure match for n <= 50; formula integral to n = 200"),
+    ("insertion path, random tournaments", "quick", False,
+     "1000 tournaments, n in 2..100: every path valid"),
+    ("insertion path, all small tournaments", "quick", False,
+     "n = 0..5, all 1100 tournaments: every path valid"),
+    ("hamiltonian path counts are odd", "quick", False,
+     "exhaustive n <= 5; 100 samples each at n = 6, 7: all counts odd"),
+    ("reference tournament examples", "quick", False,
+     "cyclic triangle: 3 paths; transitive order: 1 path"),
+    ("arc queries stay quadratic", "quick", False,
+     "n = 1000: random and worst-case counts within 2 n^2"),
+]
+
+
+@pytest.fixture(scope="module")
+def default_report() -> Report:
+    return reproduce_all(tier="default", seed=0)
+
 
 class TestRegistry:
     def test_claims_unique_and_tiered(self):
@@ -40,6 +119,16 @@ class TestRegistry:
         default = _selected_claims("default")
         assert set(quick) < set(default)
         assert default == list(_REGISTRY)
+
+    def test_pinned_entries(self, default_report):
+        registered = [(claim, tier, flagged) for claim, (tier, flagged, _) in _REGISTRY.items()]
+        assert registered == [entry[:3] for entry in PINNED_ENTRIES]
+        reported = [
+            (e.claim, e.tier, e.status == STATUS_FLAGGED, e.expected)
+            for e in default_report.entries
+        ]
+        assert reported == PINNED_ENTRIES
+        assert all(e.status in (STATUS_MATCH, STATUS_FLAGGED) for e in default_report.entries)
 
     def test_flagged_entries(self):
         flagged = {claim for claim, (_, f, _) in _REGISTRY.items() if f}
@@ -67,14 +156,15 @@ class TestRunOne:
         assert entry.expected != entry.computed
         assert "12635683568857645056" in entry.computed
 
-    def test_seed_search_entries_match(self):
+    def test_seed_search_entries_match(self, default_report):
+        entries = {e.claim: e for e in default_report.entries}
         for claim in (
             "seed search (3,3), first seed",
             "seed search (6,2), first seed",
             "seed search (4,3), both reference seeds",
             "seed validity (7,2)",
         ):
-            entry = _run_one(claim, seed=0)
+            entry = entries[claim]
             assert (entry.tier, entry.status) == ("default", STATUS_MATCH), claim
             assert entry.expected == entry.computed
 
