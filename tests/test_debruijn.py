@@ -41,6 +41,7 @@ from ordo.debruijn import (
     word_encode,
     word_of_vertex,
 )
+from ordo.graphio import graph_to_dot
 from ordo.graphs import Digraph, SimpleGraph
 from ordo.report import (
     REFERENCE_BLOCK_5_2,
@@ -424,6 +425,17 @@ class TestGraphShape:
         g = underlying_simple_graph(DBParams(3, 2))
         assert g.vertex_count == 9
         assert g.edge_count == 21
+
+    def test_flower_dot(self):
+        # the flower view is the underlying simple graph, drawn by graphio
+        # with each vertex named by its word
+        p = DBParams(3, 2)
+        g = underlying_simple_graph(p)
+        names = [word_of_vertex(v, p) for v in range(g.vertex_count)]
+        dot = graph_to_dot(g, names=names, title="B_3_2")
+        assert dot.startswith("graph B_3_2")
+        assert '"00" -- "01"' in dot
+        assert dot.count("--") == 21
 
 
 class TestArcs:
