@@ -294,7 +294,9 @@ def martin(params: DBParams) -> DeBruijnWord:
     Start from 0^m and repeatedly append the largest letter whose new
     length-m window has not occurred yet; stop when stuck.  The walk
     always gets stuck back at 0^(m-1) having used every window, so the
-    letters accumulated are exactly the linear form of a full cycle.
+    letters accumulated are exactly the linear form of a full cycle, and
+    its first n^m letters are the word; the constructor's check would
+    refuse a walk that stopped early.
     Refuses n^m > MARTIN_VERTEX_LIMIT before allocating.
     """
     _check_vertex_limit(params, MARTIN_VERTEX_LIMIT, "martin")
@@ -314,8 +316,7 @@ def martin(params: DBParams) -> DeBruijnWord:
                 break
         else:
             break
-    text = "".join(ALPHABET[c] for c in letters)
-    return word_decode(text, params)
+    return DeBruijnWord(params, tuple(letters[: params.vertex_count]))
 
 
 def count_hamiltonian_cycles(params: DBParams) -> int:
@@ -337,15 +338,16 @@ def count_hamiltonian_cycles(params: DBParams) -> int:
     return numerator // denominator
 
 
-def _check_enumeration_guard(params: DBParams) -> None:
-    if params.vertex_count > ENUMERATION_VERTEX_LIMIT:
-        raise ValueError(
-            f"enumeration limit: n^m must be <= {ENUMERATION_VERTEX_LIMIT}"
-        )
-    if count_hamiltonian_cycles(params) > ENUMERATION_CYCLE_LIMIT:
+def _enumeration_count(params: DBParams) -> int:
+    """The cycle count of B(n, m), refusing n^m > ENUMERATION_VERTEX_LIMIT
+    or more than ENUMERATION_CYCLE_LIMIT cycles."""
+    _check_vertex_limit(params, ENUMERATION_VERTEX_LIMIT, "enumeration")
+    count = count_hamiltonian_cycles(params)
+    if count > ENUMERATION_CYCLE_LIMIT:
         raise ValueError(
             f"enumeration limit: more than {ENUMERATION_CYCLE_LIMIT} cycles"
         )
+    return count
 
 
 def enumerate_hamiltonian_cycles(params: DBParams) -> Iterator[DeBruijnWord]:
@@ -379,7 +381,7 @@ def enumerate_hamiltonian_cycles(params: DBParams) -> Iterator[DeBruijnWord]:
 
 def _cycle_letters(params: DBParams) -> Iterator[tuple[int, ...]]:
     # the letter tuples of enumerate_hamiltonian_cycles, not yet validated
-    _check_enumeration_guard(params)
+    _enumeration_count(params)
     n, m = params.n, params.m
     total = params.vertex_count
     base = n ** (m - 1)
@@ -572,8 +574,7 @@ def max_disjoint_exact(params: DBParams) -> tuple[int, list[DeBruijnWord]]:
     none.  Returns the size and the lexicographically first witness of
     it.
     """
-    _check_enumeration_guard(params)
-    if count_hamiltonian_cycles(params) > DISJOINTNESS_CYCLE_LIMIT:
+    if _enumeration_count(params) > DISJOINTNESS_CYCLE_LIMIT:
         raise ValueError(
             f"disjointness limit: more than {DISJOINTNESS_CYCLE_LIMIT} cycles"
         )

@@ -46,13 +46,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import (
-    GRAPH_VERTEX_LIMIT,
-    Digraph,
-    EdgeColoring,
-    SimpleGraph,
-    _bit_indices,
-)
+from .graphs import Digraph, EdgeColoring, SimpleGraph, _bit_indices, _check_vertex_count
 
 __all__ = [
     "read_graph",
@@ -148,11 +142,6 @@ def _read_fields(
     else:
         values = np.fromstring(body, dtype=np.int64, sep=" ")
     return [int(h) for h in head.groups()], values.reshape(-1, line.count("N"))
-
-
-def _check_vertex_count(n: int) -> None:
-    if n > GRAPH_VERTEX_LIMIT:
-        raise ValueError(f"graph limit: n must be <= {GRAPH_VERTEX_LIMIT}")
 
 
 def _check_vertices(values: np.ndarray, n: int) -> None:
@@ -330,17 +319,15 @@ def digraph_to_dot(
     return "".join(_digraph_dot_lines(d, names, title, highlight))
 
 
-def coloring_to_dot(col: EdgeColoring, names: Sequence[str] | None = None, title: str = "G") -> str:
+def coloring_to_dot(col: EdgeColoring) -> str:
     """One DOT color per edge color, cycling through a fixed palette."""
     n = col.vertex_count
-    ids = _node_names(n, names)
-    lines = [f"graph {title} {{"]
+    lines = ["graph G {"]
     for v in range(n):
-        lines.append(f'  "{ids[v]}";')
-    for u in range(n):
-        for v in range(u + 1, n):
-            c = col.color_of(u, v)
-            dot_color = DOT_PALETTE[c % len(DOT_PALETTE)]
-            lines.append(f'  "{ids[u]}" -- "{ids[v]}" [color={dot_color}];')
+        lines.append(f'  "{v + 1}";')
+    # the colors are stored in the order of the pairs' lines
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    for (u, v), c in zip(pairs, col.colors):
+        lines.append(f'  "{u}" -- "{v}" [color={DOT_PALETTE[c % len(DOT_PALETTE)]}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -42,6 +42,12 @@ __all__ = [
 GRAPH_VERTEX_LIMIT = 2**14
 
 
+def _check_vertex_count(n: int) -> None:
+    # the one check of a graph's size before it is built
+    if n > GRAPH_VERTEX_LIMIT:
+        raise ValueError(f"graph limit: n must be <= {GRAPH_VERTEX_LIMIT}")
+
+
 class SimpleGraph:
     """Undirected simple graph: no loops, no parallel edges."""
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .graphs import GRAPH_VERTEX_LIMIT, EdgeColoring, SimpleGraph, _clique_in, find_clique
+from .graphs import EdgeColoring, SimpleGraph, _check_vertex_count, _clique_in, find_clique
 
 __all__ = [
     "MonochromaticWitness",
@@ -208,8 +208,7 @@ def andrasfai_graph(k: int) -> SimpleGraph:
     if k < 1:
         raise ValueError("need k >= 1")
     n = 3 * k - 1
-    if n > GRAPH_VERTEX_LIMIT:
-        raise ValueError(f"graph limit: n must be <= {GRAPH_VERTEX_LIMIT}")
+    _check_vertex_count(n)
     # row u is the distance mask, bits k..2k-1, rotated by u within n bits
     full = (1 << n) - 1
     mask = ((1 << k) - 1) << k

@@ -48,8 +48,6 @@ __all__ = [
     "SeedSearchResult",
     "rotation_seed_search",
     "append_seed_cache",
-    "read_seed_cache",
-    "cached_seeds",
     "resume_seeds",
 ]
 
@@ -60,6 +58,15 @@ _BUDGET_CHECK_STRIDE = 8192
 # turn up.  At (22,2), 484 vertices, a 2000-node search takes about 0.1 s,
 # with a tracemalloc peak of 17 MB
 SEED_SEARCH_VERTEX_LIMIT = 2**9
+
+# a cache line's fields, each with its JSON type
+_CACHE_FIELDS = (
+    ("n", int, "an integer"),
+    ("m", int, "an integer"),
+    ("seed", str, "a string"),
+    ("timestamp", str, "a string"),
+    ("nodes_explored", int, "an integer"),
+)
 
 
 @dataclass
@@ -269,13 +276,20 @@ def append_seed_cache(path: str, word: DeBruijnWord, nodes_explored: int) -> Non
         fh.write((json.dumps(entry, sort_keys=True) + "\n").encode("utf-8"))
 
 
-def read_seed_cache(path: str) -> list[dict]:
-    """All entries of a cache file, validated field by field.
+def resume_seeds(path: str, params: DBParams) -> list[DeBruijnWord]:
+    """The seeds a cache file records for (n, m), in file order, each
+    checked to be a rotation seed, ready to resume a search from.
 
-    A final line without its newline that does not parse is a write torn
-    by a crash and is skipped; any other malformed line raises.
+    Refuses n^m > SEED_SEARCH_VERTEX_LIMIT before opening the file.
+    Every line is parsed and its fields checked before any word is
+    decoded: n, m and nodes_explored must be JSON integers, seed and
+    timestamp strings.  A final line without its newline that does not
+    parse is a write torn by a crash and is skipped; any other malformed
+    line raises, and so does a recorded word whose rotation family is
+    not pairwise arc-disjoint.
     """
-    entries = []
+    _check_vertex_limit(params, SEED_SEARCH_VERTEX_LIMIT, "seed search")
+    texts = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -289,32 +303,17 @@ def read_seed_cache(path: str) -> list[dict]:
                 raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}") from None
             if not isinstance(entry, dict):
                 raise ValueError(f"{path}:{lineno}: not a JSON object")
-            for field in ("n", "m", "seed", "timestamp", "nodes_explored"):
+            for field, _, _ in _CACHE_FIELDS:
                 if field not in entry:
                     raise ValueError(f"{path}:{lineno}: missing field {field!r}")
-            entries.append(entry)
-    return entries
-
-
-def cached_seeds(path: str, params: DBParams) -> list[str]:
-    """Seed strings recorded for one (n, m), in file order."""
-    return [
-        e["seed"]
-        for e in read_seed_cache(path)
-        if e["n"] == params.n and e["m"] == params.m
-    ]
-
-
-def resume_seeds(path: str, params: DBParams) -> list[DeBruijnWord]:
-    """The seeds a cache file records for (n, m), in file order, each
-    checked to be a rotation seed, ready to resume a search from.
-
-    Refuses n^m > SEED_SEARCH_VERTEX_LIMIT before opening the file, and
-    any recorded word whose rotation family is not pairwise arc-disjoint.
-    """
-    _check_vertex_limit(params, SEED_SEARCH_VERTEX_LIMIT, "seed search")
+            for field, kind, name in _CACHE_FIELDS:
+                # type(), not isinstance(): JSON true is no integer
+                if type(entry[field]) is not kind:
+                    raise ValueError(f"{path}:{lineno}: field {field!r} must be {name}")
+            if entry["n"] == params.n and entry["m"] == params.m:
+                texts.append(entry["seed"])
     words = []
-    for text in cached_seeds(path, params):
+    for text in texts:
         word = word_decode(text, params)
         if not pairwise_arc_disjoint(rotation_family(word)):
             raise ValueError(

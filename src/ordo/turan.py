@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import GRAPH_VERTEX_LIMIT, SimpleGraph, complete_multipartite
+from .graphs import SimpleGraph, _check_vertex_count, complete_multipartite
 
 __all__ = ["TuranParams", "turan_params", "turan_max_edges", "turan_extremal_graph"]
 
@@ -54,6 +54,5 @@ def turan_extremal_graph(n: int, k: int) -> SimpleGraph:
     Refuses n > GRAPH_VERTEX_LIMIT before allocating.
     """
     p = turan_params(n, k)
-    if n > GRAPH_VERTEX_LIMIT:
-        raise ValueError(f"graph limit: n must be <= {GRAPH_VERTEX_LIMIT}")
+    _check_vertex_count(n)
     return complete_multipartite(p.part_sizes())

@@ -18,7 +18,7 @@ from ordo.debruijn import DBParams, martin, word_decode
 from ordo.graphio import write_coloring, write_digraph
 from ordo.graphs import Tournament, random_tournament
 from ordo.ramsey import k17_mod3_coloring
-from ordo.seedsearch import append_seed_cache, read_seed_cache
+from ordo.seedsearch import append_seed_cache
 
 
 class LineSink(io.TextIOBase):
@@ -380,7 +380,7 @@ class TestSeedSearch:
             "0021011220",
             "0022110120",
         ]
-        assert len(read_seed_cache(str(cache))) == 4
+        assert [json.loads(line)["seed"] for line in cache.read_text().splitlines()] == out.split()
 
     def test_resume_rejects_interior_garbage(self, tmp_path, capsys):
         cache = tmp_path / "seeds.jsonl"
@@ -394,6 +394,21 @@ class TestSeedSearch:
         )
         assert code == 2
         assert "seeds.jsonl:2: not valid JSON" in err
+
+    @pytest.mark.parametrize(
+        "field, value, kind", [("seed", 5, "a string"), ("n", [3], "an integer")]
+    )
+    def test_resume_refuses_a_mistyped_field(self, tmp_path, capsys, field, value, kind):
+        # a number as the seed once ended in a TypeError, and a list as n
+        # in a silent skip
+        cache = tmp_path / "seeds.jsonl"
+        entry = {"n": 3, "m": 2, "seed": "0011220210", "timestamp": "t", "nodes_explored": 0}
+        cache.write_text(json.dumps({**entry, field: value}) + "\n")
+        code, out, err = run(
+            capsys, "debruijn", "seed-search", "3", "2", "--resume", str(cache)
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {cache}:1: field '{field}' must be {kind}\n"
 
     def test_huge_graph_refused(self, capsys):
         # B(36,2) fits the graph limit, but its step table alone would
@@ -498,6 +513,10 @@ class TestUsage:
         assert "redei" in out and "reproduce" in out
 
 
+def _int_positionals(parser: argparse.ArgumentParser) -> list[argparse.Action]:
+    return [a for a in parser._actions if a.type is int and not a.option_strings]
+
+
 def _integer_commands(parser: argparse.ArgumentParser, prefix: tuple[str, ...] = ()):
     """(argv prefix, parser) of every leaf subcommand with an int positional."""
     for action in parser._actions:
@@ -505,7 +524,7 @@ def _integer_commands(parser: argparse.ArgumentParser, prefix: tuple[str, ...] =
             for name, child in action.choices.items():
                 yield from _integer_commands(child, prefix + (name,))
             return
-    if any(a.type is int and not a.option_strings for a in parser._actions):
+    if _int_positionals(parser):
         yield prefix, parser
 
 
@@ -517,7 +536,31 @@ def _hang_up(signum, frame):
     raise _Hung
 
 
+def _assert_ends_at_once(argv: list[str], capsys) -> None:
+    # a call must end with 0 or 2 in a few seconds, and a hang is cut by
+    # the timer
+    previous = signal.signal(signal.SIGALRM, _hang_up)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    start = time.perf_counter()
+    try:
+        code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code in (0, 2), (argv, code, err)
+    assert code == 0 or (out == "" and err.startswith("error: ")), (argv, out, err)
+    assert elapsed < 5.0, (argv, elapsed)
+
+
 INTEGER_COMMANDS = list(_integer_commands(build_parser()))
+# (argv prefix, int positional count, the one positional set extreme)
+ONE_AT_A_TIME = [
+    (prefix, len(_int_positionals(parser)), at)
+    for prefix, parser in INTEGER_COMMANDS
+    for at in range(len(_int_positionals(parser)))
+]
 
 
 class TestRefusals:
@@ -542,20 +585,19 @@ class TestRefusals:
         "prefix, parser", INTEGER_COMMANDS, ids=[" ".join(p) for p, _ in INTEGER_COMMANDS]
     )
     def test_extreme_integers_end_at_once(self, prefix, parser, value, capsys):
-        # every int positional set to the value; a call must end with 0 or
-        # 2 in a few seconds, and a hang is cut by the timer
-        positionals = [a for a in parser._actions if a.type is int and not a.option_strings]
-        argv = [*prefix, *[str(value)] * len(positionals)]
-        previous = signal.signal(signal.SIGALRM, _hang_up)
-        signal.setitimer(signal.ITIMER_REAL, 5.0)
-        start = time.perf_counter()
-        try:
-            code = main(argv)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-        elapsed = time.perf_counter() - start
-        out, err = capsys.readouterr()
-        assert code in (0, 2), (argv, code, err)
-        assert code == 0 or (out == "" and err.startswith("error: ")), (argv, out, err)
-        assert elapsed < 5.0, (argv, elapsed)
+        # every int positional set to the value
+        argv = [*prefix, *[str(value)] * len(_int_positionals(parser))]
+        _assert_ends_at_once(argv, capsys)
+
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs an interval timer")
+    @pytest.mark.parametrize("value", [10**9, -1])
+    @pytest.mark.parametrize(
+        "prefix, count, at",
+        ONE_AT_A_TIME,
+        ids=[f"{' '.join(p)} #{at + 1}" for p, _, at in ONE_AT_A_TIME],
+    )
+    def test_one_extreme_integer_ends_at_once(self, prefix, count, at, value, capsys):
+        # one int positional set to the value, the others to 2, so that no
+        # other argument's check refuses the call first
+        argv = [*prefix, *[str(value) if i == at else "2" for i in range(count)]]
+        _assert_ends_at_once(argv, capsys)

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import functools
+import json
 import time
 import tracemalloc
+from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +16,9 @@ from hypothesis import strategies as st
 from ordo.debruijn import (
     DBParams,
     DeBruijnWord,
+    _check_words,
+    _cycle_letters,
+    _windows,
     enumerate_hamiltonian_cycles,
     martin,
     pairwise_arc_disjoint,
@@ -26,8 +32,7 @@ from ordo.seedsearch import (
     _BUDGET_CHECK_STRIDE,
     _extension_letters,
     append_seed_cache,
-    cached_seeds,
-    read_seed_cache,
+    resume_seeds,
     rotation_seed_search,
 )
 
@@ -279,6 +284,32 @@ class TestFullSearch:
         assert sequencings(n - 1) == {3: 1, 5: 2, 7: 4, 9: 24, 11: 288}[n]
 
 
+def census_seed_letters(params: DBParams, batch: int = 4096) -> list[tuple[int, ...]]:
+    """The census words whose rotation family is pairwise arc-disjoint, in
+    census order, found a batch at a time without building any word."""
+    n, m, total = params.n, params.m, params.vertex_count
+    slots = n ** (m + 1)  # the arc ids of B(n, m)
+    smap = np.array(sigma_symbol_map(n))
+    powers = [np.arange(n)]  # powers[k] maps a letter to its image under sigma^k
+    for _ in range(n - 2):
+        powers.append(smap[powers[-1]])
+    letters = _cycle_letters(params)
+    seeds = []
+    while rows := list(islice(letters, batch)):
+        _check_words(params, rows)
+        # sigma fixes 0, so each image still starts at 0^m.  Row
+        # k * len(rows) + b of family is the k-th image of word b, and its
+        # arc ids go to b's slots
+        words = np.frombuffer(b"".join(map(bytes, rows)), dtype=np.uint8).reshape(-1, total)
+        family = np.concatenate([p[words] for p in powers])
+        ids = _windows(family.T, n, m + 1)  # int64, as the powers are
+        ids += np.arange(len(family)) % len(rows) * slots
+        counts = np.bincount(ids.ravel(), minlength=len(rows) * slots)
+        disjoint = counts.reshape(len(rows), slots).max(axis=1) < 2
+        seeds += [rows[i] for i in np.flatnonzero(disjoint)]
+    return seeds
+
+
 class TestAgainstTheCensus:
     def test_full_trees_are_the_disjoint_census_words(self):
         # the two DFS kernels share only the successor rule: a seed is a
@@ -292,6 +323,16 @@ class TestAgainstTheCensus:
             result = rotation_seed_search(p, find_all=True)
             assert result.seeds == expected
             assert len(expected) == count
+
+    @pytest.mark.parametrize("n, m, count", [(3, 2, 4), (4, 2, 288), (3, 3, 4192)])
+    def test_full_trees_are_the_disjoint_census_words_in_batches(self, n, m, count):
+        # (3,3) holds 373,248 census words, beyond the reference oracle
+        params = DBParams(n, m)
+        expected = census_seed_letters(params)
+        result = rotation_seed_search(params, find_all=True)
+        assert result.completed
+        assert [w.letters for w in result.seeds] == expected
+        assert len(expected) == count
 
 
 class TestFirstSeed:
@@ -519,13 +560,21 @@ class TestParityPins:
         ]
 
 
+def cached(path: str, params: DBParams) -> list[str]:
+    return [word_encode(w) for w in resume_seeds(path, params)]
+
+
+CACHE_LINE = {"n": 3, "m": 2, "seed": SEEDS_3_2[0], "timestamp": "t", "nodes_explored": 0}
+
+
 class TestCacheFile:
     def test_append_and_read(self, tmp_path):
         path = str(tmp_path / "seeds.jsonl")
         w = word_decode(SEEDS_3_2[0], DBParams(3, 2))
         append_seed_cache(path, w, 17)
         append_seed_cache(path, word_decode(SEEDS_3_2[1], DBParams(3, 2)), 99)
-        entries = read_seed_cache(path)
+        with open(path, encoding="utf-8") as fh:
+            entries = [json.loads(line) for line in fh]
         assert len(entries) == 2
         assert entries[0]["seed"] == SEEDS_3_2[0]
         assert entries[0]["n"] == 3 and entries[0]["m"] == 2
@@ -537,28 +586,28 @@ class TestCacheFile:
         append_seed_cache(path, word_decode(SEEDS_3_2[0], DBParams(3, 2)), 1)
         append_seed_cache(path, word_decode("0001011100", DBParams(2, 3)), 2)
         append_seed_cache(path, word_decode(SEEDS_3_2[2], DBParams(3, 2)), 3)
-        assert cached_seeds(path, DBParams(3, 2)) == [SEEDS_3_2[0], SEEDS_3_2[2]]
-        assert cached_seeds(path, DBParams(2, 3)) == ["0001011100"]
-        assert cached_seeds(path, DBParams(5, 2)) == []
+        assert cached(path, DBParams(3, 2)) == [SEEDS_3_2[0], SEEDS_3_2[2]]
+        assert cached(path, DBParams(2, 3)) == ["0001011100"]
+        assert cached(path, DBParams(5, 2)) == []
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "seeds.jsonl"
         w = word_decode(SEEDS_3_2[0], DBParams(3, 2))
         append_seed_cache(str(path), w, 1)
         path.write_text(path.read_text() + "\n\n")
-        assert len(read_seed_cache(str(path))) == 1
+        assert len(resume_seeds(str(path), DBParams(3, 2))) == 1
 
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "seeds.jsonl"
         path.write_text('{"n": 3}\nnot json\n')
         with pytest.raises(ValueError, match=r"seeds\.jsonl:1: missing field"):
-            read_seed_cache(str(path))
+            resume_seeds(str(path), DBParams(3, 2))
         path.write_text(
             '{"n": 3, "m": 2, "seed": "x", "timestamp": "t", "nodes_explored": 0}\n'
             "not json\n"
         )
         with pytest.raises(ValueError, match=r"seeds\.jsonl:2: not valid JSON"):
-            read_seed_cache(str(path))
+            resume_seeds(str(path), DBParams(3, 2))
 
     def test_torn_final_line_skipped(self, tmp_path):
         path = tmp_path / "seeds.jsonl"
@@ -567,25 +616,43 @@ class TestCacheFile:
             append_seed_cache(str(path), word_decode(text, params), 0)
         whole = path.read_text()
         path.write_text(whole[: len(whole) - 20])
-        assert cached_seeds(str(path), params) == [SEEDS_3_2[0]]
+        assert cached(str(path), params) == [SEEDS_3_2[0]]
         # the next append replaces the torn line instead of joining it
         append_seed_cache(str(path), word_decode(SEEDS_3_2[2], params), 0)
-        assert cached_seeds(str(path), params) == [SEEDS_3_2[0], SEEDS_3_2[2]]
+        assert cached(str(path), params) == [SEEDS_3_2[0], SEEDS_3_2[2]]
 
     def test_final_line_without_newline_kept(self, tmp_path):
         path = tmp_path / "seeds.jsonl"
         params = DBParams(3, 2)
         append_seed_cache(str(path), word_decode(SEEDS_3_2[0], params), 0)
         path.write_text(path.read_text().rstrip("\n"))
-        assert cached_seeds(str(path), params) == [SEEDS_3_2[0]]
+        assert cached(str(path), params) == [SEEDS_3_2[0]]
         append_seed_cache(str(path), word_decode(SEEDS_3_2[1], params), 0)
-        assert cached_seeds(str(path), params) == list(SEEDS_3_2[:2])
+        assert cached(str(path), params) == list(SEEDS_3_2[:2])
 
     def test_entry_must_be_an_object(self, tmp_path):
         path = tmp_path / "seeds.jsonl"
         path.write_text("[3, 2]\n")
         with pytest.raises(ValueError, match=r"seeds\.jsonl:1: not a JSON object"):
-            read_seed_cache(str(path))
+            resume_seeds(str(path), DBParams(3, 2))
+
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("n", [3], "an integer"),
+            ("m", 2.0, "an integer"),
+            ("seed", 5, "a string"),
+            ("timestamp", None, "a string"),
+            ("nodes_explored", True, "an integer"),
+        ],
+    )
+    def test_field_types_checked(self, tmp_path, field, value, kind):
+        # a good line first: the faulty one is reported by its own number
+        path = tmp_path / "seeds.jsonl"
+        bad = {**CACHE_LINE, field: value}
+        path.write_text(json.dumps(CACHE_LINE) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ValueError, match=rf"seeds\.jsonl:2: field '{field}' must be {kind}$"):
+            resume_seeds(str(path), DBParams(3, 2))
 
     def test_resume_from_cache_round_trip(self, tmp_path):
         # interrupted run caches two seeds; resuming finds the other two
@@ -593,8 +660,6 @@ class TestCacheFile:
         params = DBParams(3, 2)
         for text in SEEDS_3_2[:2]:
             append_seed_cache(path, word_decode(text, params), 0)
-        last = cached_seeds(path, params)[-1]
-        resumed = rotation_seed_search(
-            params, find_all=True, resume_after=word_decode(last, params)
-        )
+        last = resume_seeds(path, params)[-1]
+        resumed = rotation_seed_search(params, find_all=True, resume_after=last)
         assert [word_encode(w) for w in resumed.seeds] == list(SEEDS_3_2[2:])
