@@ -173,7 +173,7 @@ def _cmd_ramsey(args: argparse.Namespace) -> int:
         m, k = args.m, args.k
         print(f"recurrence upper bound: {ramsey.recurrence_upper_bound(m, k)}")
         print(f"binomial upper bound:   {ramsey.erdos_szekeres_bound(m, k)}")
-        if m == k:
+        if m == k >= 3:
             print(f"probabilistic lower bound: {ramsey.diagonal_lower_bound(k):.2f}")
         lo, hi = ramsey.KNOWN_VALUE_RANGE
         if lo <= m <= hi and lo <= k <= hi:

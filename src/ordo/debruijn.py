@@ -191,22 +191,14 @@ def word_encode(word: DeBruijnWord) -> str:
     return cyclic + cyclic[: m - 1]
 
 
-def _rotate_to_zero_window(cyclic: list[int], m: int) -> tuple[int, ...] | None:
-    """The rotation of a cyclic word that starts at its first 0^m
-    window, or None when it has none."""
-    total = len(cyclic)
-    for i in range(total):
-        if all(cyclic[(i + j) % total] == 0 for j in range(m)):
-            return tuple(cyclic[i:] + cyclic[:i])
-    return None
-
-
 def word_decode(text: str, params: DBParams) -> DeBruijnWord:
     """Parse a linear form, validate it, and canonicalize the rotation.
 
     Accepts any rotation of a valid cycle (in linear form); the result
     starts at the 0^m window, so encode(decode(t)) == t exactly when t
-    already does.
+    already does.  Once the text is known to end with its own first m-1
+    letters, its length-m substrings are the cycle's windows in order,
+    so the first 0^m window starts where the text first holds m zeros.
     """
     n, m = params.n, params.m
     total = params.vertex_count
@@ -220,12 +212,13 @@ def word_decode(text: str, params: DBParams) -> DeBruijnWord:
         if not 0 <= value < n:
             raise ValueError(f"letter {ch!r} outside the {n}-letter alphabet")
         letters.append(value)
-    if m > 1 and letters[total:] != letters[: m - 1]:
+    if letters[total:] != letters[: m - 1]:
         raise ValueError("linear form must end with its own first m-1 letters")
-    rotated = _rotate_to_zero_window(letters[:total], m)
-    if rotated is None:
+    start = text.find("0" * m)
+    if start < 0:
         raise ValueError("no all-zero window; not a full cycle")
-    return DeBruijnWord(params, rotated)  # window distinctness checked here
+    # window distinctness checked here
+    return DeBruijnWord(params, tuple(letters[start:total] + letters[:start]))
 
 
 def infer_params(text: str) -> DBParams:
@@ -464,8 +457,6 @@ def sigma_symbol_map(n: int) -> tuple[int, ...]:
     """Letter permutation fixing 0 and cycling 1 -> 2 -> ... -> n-1 -> 1."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if n == 2:
-        return (0, 1)
     return (0,) + tuple(range(2, n)) + (1,)
 
 

@@ -163,9 +163,10 @@ def erdos_szekeres_bound(m: int, k: int) -> int:
 
 
 def diagonal_lower_bound(k: int) -> float:
-    """Probabilistic lower bound: R(k,k) > 2^(k/2)."""
-    if k < 1:
-        raise ValueError("need k >= 1")
+    """Probabilistic lower bound: R(k,k) > 2^(k/2), which holds for
+    k >= 3 only (R(1,1) = 1 and R(2,2) = 2)."""
+    if k < 3:
+        raise ValueError("need k >= 3")
     return 2.0 ** (k / 2)
 
 

@@ -26,7 +26,7 @@ import functools
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import Callable
 
@@ -154,14 +154,7 @@ class Report:
             "tier": self.tier,
             "seed": self.seed,
             "entries": [
-                {
-                    "claim": e.claim,
-                    "tier": e.tier,
-                    "expected": e.expected,
-                    "computed": e.computed,
-                    "status": e.status,
-                    "runtime_seconds": round(e.runtime_seconds, 3),
-                }
+                {**asdict(e), "runtime_seconds": round(e.runtime_seconds, 3)}
                 for e in self.entries
             ],
             "summary": self.counts(),

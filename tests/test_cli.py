@@ -143,6 +143,15 @@ class TestRamsey:
         assert "probabilistic lower bound: 5.66" in out
         assert "R(5,5) in [43, 49]" in out
 
+    def test_no_diagonal_bound_below_three(self, capsys):
+        # R(2,2) = 2 is not above 2^(2/2) = 2, and R(1,1) = 1 is below 2^(1/2)
+        for k in ("1", "2"):
+            code, out, _ = run(capsys, "ramsey", "bounds", k, k)
+            assert code == 0
+            assert out == f"recurrence upper bound: {k}\nbinomial upper bound:   {k}\n"
+        _, out, _ = run(capsys, "ramsey", "bounds", "3", "3")
+        assert "probabilistic lower bound: 2.83" in out
+
     def test_andrasfai(self, capsys):
         code, out, _ = run(capsys, "ramsey", "andrasfai", "3")
         assert code == 0
@@ -279,18 +288,28 @@ class TestDebruijn:
         assert out.count(";\n") == 9 + 21
         assert out.endswith("}\n")
 
+    # "0112202100" and "0221101200" are the family below rotated by one
+    # letter: the only 00 window starts at the last cyclic position and
+    # runs into the repeated first letter
     def test_sigma(self, capsys):
-        code, out, _ = run(capsys, "debruijn", "sigma", "0011220210")
-        assert (code, out.strip()) == (0, "0022110120")
+        for text in ("0011220210", "0112202100"):
+            code, out, _ = run(capsys, "debruijn", "sigma", text)
+            assert (code, out.strip()) == (0, "0022110120")
 
     def test_family(self, capsys):
-        code, out, _ = run(capsys, "debruijn", "family", "0011220210")
-        assert code == 0
-        assert out.split() == ["0011220210", "0022110120"]
+        for text in ("0011220210", "0112202100"):
+            code, out, _ = run(capsys, "debruijn", "family", text)
+            assert code == 0
+            assert out.split() == ["0011220210", "0022110120"]
 
     def test_disjoint_yes(self, capsys):
-        code, out, _ = run(capsys, "debruijn", "disjoint", "0011220210", "0022110120")
-        assert (code, out.strip()) == (0, "pairwise arc-disjoint")
+        for words in (("0011220210", "0022110120"), ("0112202100", "0221101200")):
+            code, out, _ = run(capsys, "debruijn", "disjoint", *words)
+            assert (code, out.strip()) == (0, "pairwise arc-disjoint")
+        # a rotation decodes to the same cycle, so it shares every arc
+        code, out, _ = run(capsys, "debruijn", "disjoint", "0011220210", "0112202100")
+        assert code == 1
+        assert out.count("->") == 9
 
     def test_disjoint_no(self, capsys):
         code, out, _ = run(

@@ -203,6 +203,83 @@ def reference_word_error(params: DBParams, letters: tuple[int, ...]) -> str | No
     return None
 
 
+def reference_rotation(cyclic: list[int], m: int) -> tuple[int, ...] | None:
+    """The rotation of a cyclic word that starts at its first 0^m
+    window, or None when it has none, by testing every cyclic position:
+    the decoder's rotation oracle."""
+    total = len(cyclic)
+    for i in range(total):
+        if all(cyclic[(i + j) % total] == 0 for j in range(m)):
+            return tuple(cyclic[i:] + cyclic[:i])
+    return None
+
+
+def reference_decode(text: str, params: DBParams) -> DeBruijnWord:
+    """word_decode with its rotation found by reference_rotation: the
+    same checks in the same order, so the same word or the same error."""
+    n, m = params.n, params.m
+    total = params.vertex_count
+    if len(text) != params.linear_length:
+        raise ValueError(
+            f"bad length: B({n},{m}) linear form has {params.linear_length} letters, got {len(text)}"
+        )
+    letters = []
+    for ch in text:
+        value = ALPHABET.find(ch)
+        if not 0 <= value < n:
+            raise ValueError(f"letter {ch!r} outside the {n}-letter alphabet")
+        letters.append(value)
+    if m > 1 and letters[total:] != letters[: m - 1]:
+        raise ValueError("linear form must end with its own first m-1 letters")
+    rotated = reference_rotation(letters[:total], m)
+    if rotated is None:
+        raise ValueError("no all-zero window; not a full cycle")
+    return DeBruijnWord(params, rotated)
+
+
+def decode_outcome(decode, text: str, params: DBParams):
+    """The decoded word, or the message of the ValueError raised."""
+    try:
+        return decode(text, params)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+# long words and one-letter windows, beside the census graphs
+MARTIN_PARAMS = (DBParams(31, 2), DBParams(2, 9), DBParams(5, 3), DBParams(2, 1), DBParams(7, 1))
+
+
+@st.composite
+def linear_forms(draw) -> tuple[DBParams, str]:
+    """A census or martin word in linear form, rotated by any shift or by
+    one that puts the 0^m window across the seam, then kept or corrupted:
+    a letter changed to another of 0..n (n lies outside the alphabet), a
+    closing letter changed (m > 1), or every 0^m window cleared with the
+    closing letters kept."""
+    if draw(st.booleans()):
+        word = draw(census_words())
+    else:
+        word = martin(draw(st.sampled_from(MARTIN_PARAMS)))
+    params = word.params
+    n, m, total = params.n, params.m, params.vertex_count
+    r = draw(st.one_of(st.integers(0, total - 1), st.integers(1, max(1, m - 1))))
+    cyclic = list(word.letters[r:] + word.letters[:r])
+    edit = draw(st.sampled_from(("keep", "flip", "closing", "clear")))
+    if edit == "clear":
+        # letters only turn nonzero, so a window passed stays cleared
+        for i in range(total):
+            if all(cyclic[(i + j) % total] == 0 for j in range(m)):
+                cyclic[(i + draw(st.integers(0, m - 1))) % total] = draw(st.integers(1, n - 1))
+    letters = cyclic + cyclic[: m - 1]
+    if edit == "flip":
+        i = draw(st.integers(0, len(letters) - 1))
+        letters[i] = draw(st.integers(0, n).filter(lambda c: c != letters[i]))
+    elif edit == "closing" and m > 1:
+        i = draw(st.integers(total, len(letters) - 1))
+        letters[i] = draw(st.integers(0, n - 1).filter(lambda c: c != letters[i]))
+    return params, "".join(ALPHABET[c] for c in letters)
+
+
 def constructor_error(params: DBParams, letters: tuple[int, ...]) -> str | None:
     """The checking constructor's error message, or None if it accepts."""
     try:
@@ -353,6 +430,28 @@ class TestEncodeDecode:
         cyclic = word.letters[r:] + word.letters[:r]
         text = "".join(ALPHABET[c] for c in cyclic + cyclic[: m - 1])
         assert word_decode(text, word.params) == word
+
+    @settings(max_examples=400, derandomize=True, database=None)
+    @given(linear_forms())
+    def test_decode_matches_the_rotation_oracle(self, form):
+        params, text = form
+        assert decode_outcome(word_decode, text, params) == decode_outcome(
+            reference_decode, text, params
+        )
+
+    def test_zero_window_across_the_seam(self):
+        # rotating by r < m puts the only 0^m window at cyclic position
+        # total - r, so it runs into the repeated first m-1 letters
+        words = [word_decode("0011220210", DBParams(3, 2)), martin(DBParams(2, 9))]
+        words += [martin(DBParams(n, m)) for n, m in ((2, 3), (4, 3), (31, 2))]
+        for word in words:
+            m, total = word.params.m, word.params.vertex_count
+            for r in range(1, m):
+                cyclic = word.letters[r:] + word.letters[:r]
+                text = "".join(ALPHABET[c] for c in cyclic + cyclic[: m - 1])
+                assert text.find("0" * m) == total - r
+                assert word_decode(text, word.params) == word
+        assert word_encode(word_decode("0112202100", DBParams(3, 2))) == "0011220210"
 
     def test_decode_errors(self):
         p = DBParams(2, 2)

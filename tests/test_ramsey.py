@@ -205,11 +205,13 @@ class TestBounds:
         assert erdos_szekeres_bound(5, 5) == math.comb(8, 4)
 
     def test_diagonal_lower_bound(self):
-        assert diagonal_lower_bound(2) == 2.0
+        assert diagonal_lower_bound(3) == 2.0**1.5
         assert abs(diagonal_lower_bound(4) - 4.0) < 1e-12
         assert diagonal_lower_bound(10) == 32.0
-        with pytest.raises(ValueError):
-            diagonal_lower_bound(0)
+        # R(1,1) = 1 and R(2,2) = 2: 2^(k/2) is no lower bound there
+        for k in (0, 1, 2):
+            with pytest.raises(ValueError, match="need k >= 3"):
+                diagonal_lower_bound(k)
 
     def test_multinomial(self):
         assert multicolor_multinomial_bound((3, 3)) == 6
