@@ -285,11 +285,9 @@ def _cmd_seed_search(args: argparse.Namespace) -> int:
             resume_word = max(known, key=lambda w: w.letters)
 
     def on_seed(word, nodes):
-        text = db.word_encode(word)
-        print(text, flush=True)
+        print(db.word_encode(word), flush=True)
         if args.cache:
             append_seed_cache(args.cache, word, nodes)
-        return None
 
     result = rotation_seed_search(
         params,

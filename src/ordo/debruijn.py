@@ -22,7 +22,7 @@ import math
 import struct
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -113,11 +113,7 @@ class DeBruijnWord:
 def _checked_words(params: DBParams, rows: list[tuple[int, ...]]) -> list[DeBruijnWord]:
     """DeBruijnWord(params, t) for every t in rows, checked as one batch."""
     _check_words(params, rows)
-    return _unchecked_words(params, rows)
-
-
-def _unchecked_words(params: DBParams, rows: Iterable[tuple[int, ...]]) -> list[DeBruijnWord]:
-    # words whose letters already passed the constructor's checks
+    # the letters passed the constructor's checks, so skip __post_init__
     words = []
     new, set_field = object.__new__, object.__setattr__
     for letters in rows:

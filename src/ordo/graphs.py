@@ -439,30 +439,23 @@ def find_independent_set(g: SimpleGraph, size: int) -> tuple[int, ...] | None:
     return find_clique(complement(g), size)
 
 
-def _popcount_u32(a: np.ndarray) -> np.ndarray:
-    # SWAR bit count on uint32 lanes
-    a = a - ((a >> 1) & np.uint32(0x55555555))
-    a = (a & np.uint32(0x33333333)) + ((a >> 2) & np.uint32(0x33333333))
-    a = (a + (a >> 4)) & np.uint32(0x0F0F0F0F)
-    return (a * np.uint32(0x01010101)) >> 24
-
-
 @functools.lru_cache(maxsize=8)
-def _masks_by_edge_count(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every edge mask of an n-vertex graph, ascending by edge count, and
-    the level bounds: the masks with p edges are masks[bounds[p]:bounds[p + 1]].
+def _masks_by_edge_count(n: int) -> tuple[np.ndarray, ...]:
+    """Every edge mask of an n-vertex graph, by edge count: entry p holds
+    the masks with p edges, ascending.
 
-    Both arrays are read-only, since every caller shares them.
+    The levels are read-only, since every caller shares them.
     """
     pairs = _pair_count(n)
-    counts = _popcount_u32(np.arange(1 << pairs, dtype=np.uint32)).astype(np.uint8)
-    # mask i is the number i, so the sorted masks are the sorting permutation
-    masks = np.argsort(counts, kind="stable").astype(np.uint32)
-    bounds = np.zeros(pairs + 2, dtype=np.int64)
-    np.cumsum(np.bincount(counts, minlength=pairs + 1), out=bounds[1:])
-    masks.flags.writeable = False
-    bounds.flags.writeable = False
-    return masks, bounds
+    counts = np.zeros(1 << pairs, dtype=np.uint8)
+    for b in range(pairs):
+        # the masks in [2^b, 2^(b+1)) are those below 2^b with bit b added
+        counts[1 << b : 2 << b] = counts[: 1 << b] + 1
+    # mask i is the number i, so the indices with count p are level p, ascending
+    levels = tuple(np.flatnonzero(counts == p).astype(np.uint32) for p in range(pairs + 1))
+    for level in levels:
+        level.flags.writeable = False
+    return levels
 
 
 def max_edges_without_clique_oracle(n: int, k: int) -> int:
@@ -486,9 +479,9 @@ def max_edges_without_clique_oracle(n: int, k: int) -> int:
         np.uint32(sum(1 << index[p] for p in itertools.combinations(subset, 2)))
         for subset in itertools.combinations(range(n), k + 1)
     ]
-    masks, bounds = _masks_by_edge_count(n)
+    levels = _masks_by_edge_count(n)
     for edges in range(len(pairs), -1, -1):
-        left = masks[bounds[edges] : bounds[edges + 1]]
+        left = levels[edges]
         for c in cliques:
             left = left[(left & c) != c]
             if not left.size:

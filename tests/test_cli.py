@@ -13,10 +13,11 @@ import tracemalloc
 
 import pytest
 
+from ordo import report
 from ordo.cli import build_parser, main
 from ordo.debruijn import DBParams, martin, word_decode
 from ordo.graphio import write_coloring, write_digraph
-from ordo.graphs import Tournament, random_tournament
+from ordo.graphs import EdgeColoring, Tournament, random_tournament
 from ordo.ramsey import k17_mod3_coloring
 from ordo.seedsearch import append_seed_cache
 
@@ -123,6 +124,22 @@ class TestRamsey:
         code, _, err = run(capsys, "ramsey", "verify", str(file), "--spec", "3,3")
         assert code == 2
         assert "error:" in err
+
+    def test_verify_finds_no_clique(self, tmp_path, capsys):
+        # the pentagon and the pentagram colour K_5 with no one-colour triangle
+        file = tmp_path / "c.txt"
+        file.write_text(write_coloring(EdgeColoring.from_function(
+            5, 2, lambda u, v: 0 if (v - u) % 5 in (1, 4) else 1
+        )))
+        code, out, _ = run(capsys, "ramsey", "verify", str(file), "--spec", "3,3")
+        assert (code, out) == (0, "no forbidden monochromatic clique\n")
+
+    def test_verify_refuses_a_pair_of_one_vertex(self, tmp_path, capsys):
+        file = tmp_path / "c.txt"
+        file.write_text("n 3 c 2\n1 1 0\n1 2 0\n2 3 1\n")
+        code, out, err = run(capsys, "ramsey", "verify", str(file), "--spec", "3,3")
+        assert (code, out) == (2, "")
+        assert "pairs are between distinct vertices" in err
 
     def test_verify_refuses_huge_header(self, tmp_path, capsys):
         file = tmp_path / "c.txt"
@@ -503,6 +520,22 @@ class TestReproduce:
         assert (code, doc["exit_code"], doc["tier"]) == (0, 0, "quick")
         assert set(doc["summary"]) == {"match", "mismatch", "flagged-discrepancy"}
         assert list(tmp_path.iterdir()) == [out_file]  # no temporary file left
+
+    def test_json_onto_a_directory_leaves_no_temporary_file(self, tmp_path, capsys):
+        target = tmp_path / "r.json"
+        target.mkdir()
+        code, _, err = run(capsys, "reproduce", "--quick", "--json", str(target))
+        assert code == 2 and "error:" in err
+        assert list(tmp_path.iterdir()) == [target]
+        assert list(target.iterdir()) == []
+
+    def test_mismatch_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setitem(
+            report._REGISTRY, "martin linear form (2,1)", ("quick", False, lambda seed: ("x", "y"))
+        )
+        code, out, _ = run(capsys, "reproduce", "--quick")
+        assert code == 1
+        assert "expected: x" in out and "computed: y" in out and "1 mismatch" in out
 
     def test_removed_flags_are_usage_errors(self, capsys):
         # the report is one bounded run: no stretch tier, no run budget

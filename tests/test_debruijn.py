@@ -5,11 +5,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -661,31 +657,15 @@ class TestCensus:
         assert first == lyndon_cycle(3, 3)
         assert prev == martin(p).letters
 
-    def test_three_three_census_memory(self):
+    def test_three_three_census_memory(self, peak_rss_growth):
         # the memo holds each entry's tails as one bytes object.  Draining
         # the census raises a fresh process's peak RSS by about 4.6 MB; a
         # list of tuples per entry at the same depth raises it by about
-        # 13 MB.  tracemalloc sees the same, but tracing the census's
-        # allocations takes ten times as long as the census, and
-        # ru_maxrss carries the parent's peak over into the child.
-        if not os.path.exists("/proc/self/status"):
-            pytest.skip("reads the peak RSS from /proc/self/status")
-        script = """
-from ordo.debruijn import DBParams, enumerate_hamiltonian_cycles
-
-def peak_kib():
-    with open("/proc/self/status") as f:
-        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
-
-before = peak_kib()
-count = sum(1 for _ in enumerate_hamiltonian_cycles(DBParams(3, 3)))
-print(count, (peak_kib() - before) * 1024)
-"""
-        env = {**os.environ, "PYTHONPATH": str(Path(debruijn.__file__).parent.parent)}
-        out = subprocess.run(
-            [sys.executable, "-c", script], env=env, check=True, timeout=120,
-            capture_output=True, text=True,
-        ).stdout.split()
+        # 13 MB.
+        out = peak_rss_growth(
+            "from ordo.debruijn import DBParams, enumerate_hamiltonian_cycles",
+            "print(sum(1 for _ in enumerate_hamiltonian_cycles(DBParams(3, 3))))",
+        )
         assert int(out[0]) == 373_248
         assert int(out[1]) < 6_000_000
 

@@ -525,6 +525,10 @@ class TestColoringText:
         with pytest.raises(ValueError, match=r"^pair \(2, 1\) colored twice$"):
             read_coloring("n 2 c 2\n1 2 0\n2 1 1\n")
 
+    def test_pair_of_one_vertex_refused(self):
+        with pytest.raises(ValueError, match="^pairs are between distinct vertices$"):
+            read_coloring("n 3 c 2\n1 1 0\n1 2 0\n2 3 1\n")
+
     def test_missing_pairs_detected(self):
         with pytest.raises(ValueError, match="no color"):
             read_coloring("n 3 c 2\n1 2 0\n")

@@ -309,22 +309,36 @@ class TestOracle:
     def test_levels_hold_every_mask_once_by_edge_count(self):
         for n in range(8):
             pairs = n * (n - 1) // 2
-            masks, bounds = graphs._masks_by_edge_count(n)
-            assert sorted(masks.tolist()) == list(range(1 << pairs))
-            assert bounds[0] == 0 and len(bounds) == pairs + 2
-            for p in range(pairs + 1):
-                level = masks[bounds[p] : bounds[p + 1]].tolist()
+            levels = graphs._masks_by_edge_count(n)
+            assert len(levels) == pairs + 1
+            assert sorted(np.concatenate(levels).tolist()) == list(range(1 << pairs))
+            for p, level in enumerate(levels):
+                level = level.tolist()
                 assert len(level) == math.comb(pairs, p)
                 assert all(mask.bit_count() == p for mask in level)
                 assert level == sorted(level)
 
     def test_cached_levels_are_read_only(self):
-        masks, bounds = graphs._masks_by_edge_count(4)
-        with pytest.raises(ValueError):
-            masks[0] = 1
-        with pytest.raises(ValueError):
-            bounds[1] = 0
+        levels = graphs._masks_by_edge_count(4)
+        for level in levels:
+            with pytest.raises(ValueError):
+                level[0] = 1
         assert graphs._masks_by_edge_count(4)[0][0] == 0
+
+    def test_levels_and_oracle_memory(self, peak_rss_growth):
+        # the n = 7 table keeps 8 MB of uint32 masks.  A fresh process's
+        # peak RSS rises by about 12 MB for it and the seven oracle calls;
+        # a SWAR popcount and an int64 argsort of all 2^21 masks raised it
+        # by about 35 MB.
+        out = peak_rss_growth(
+            "from ordo.graphs import _masks_by_edge_count, max_edges_without_clique_oracle",
+            """
+            _masks_by_edge_count(7)
+            print(*[max_edges_without_clique_oracle(7, k) for k in range(1, 8)])
+            """,
+        )
+        assert out[:7] == ["0", "12", "16", "18", "19", "20", "21"]
+        assert int(out[7]) < 20_000_000
 
 
 def _covering_oracle(n: int, k: int) -> int:

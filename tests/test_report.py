@@ -265,3 +265,12 @@ class TestReproduceAll:
         # and pins the quick tier's 37 claims in registry order
         assert {"tier", "seed"} <= set(inspect.signature(reproduce_all).parameters)
         assert len(_selected_claims("quick")) == 37
+
+    def test_a_wrong_answer_is_a_mismatch(self, monkeypatch):
+        claim = "martin linear form (2,1)"
+        monkeypatch.setitem(_REGISTRY, claim, ("quick", False, lambda seed: ("x", "y")))
+        report = reproduce_all("quick", 0)
+        entry = next(e for e in report.entries if e.claim == claim)
+        assert (entry.expected, entry.computed, entry.status) == ("x", "y", STATUS_MISMATCH)
+        assert report.counts()[STATUS_MISMATCH] == 1
+        assert report.exit_code == 1

@@ -375,6 +375,10 @@ class TestResume:
         )
         assert result.seeds == [] and result.completed
 
+    def test_resume_word_of_another_graph_refused(self):
+        with pytest.raises(ValueError, match="resume word belongs to a different graph"):
+            rotation_seed_search(DBParams(3, 2), resume_after=martin(DBParams(2, 3)))
+
     def test_resume_skips_most_of_the_tree(self):
         scratch = rotation_seed_search(DBParams(4, 2), find_all=True)
         resumed = rotation_seed_search(
