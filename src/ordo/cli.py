@@ -204,7 +204,7 @@ def _cmd_turan(args: argparse.Namespace) -> int:
     if args.turan_command == "verify":
         bound = turan.turan_max_edges(n, k)
         g = turan.turan_extremal_graph(n, k)
-        parts = turan.turan_params(n, k).part_sizes()
+        parts = turan.turan_part_sizes(n, k)
         print(f"formula: {bound}")
         print(f"extremal graph: {g.edge_count} edges, parts {parts}")
         if g.edge_count != bound:
@@ -305,6 +305,11 @@ def _cmd_seed_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
+    if args.json:  # refuse a target it cannot write before the report runs
+        if os.path.isdir(args.json):
+            raise ValueError(f"cannot write {args.json}: it is a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(args.json))):
+            raise ValueError(f"cannot write {args.json}: its directory does not exist")
     report = reproduce_all(tier="quick" if args.quick else "default", seed=args.seed)
     sys.stdout.write(render_table(report))
     if args.json:

@@ -213,7 +213,8 @@ class Tournament:
 
     @classmethod
     def _from_rows(cls, rows: list[int]) -> Tournament:
-        """Adopt out-rows the caller built as a tournament, unchecked."""
+        """Adopt out-rows the caller built as a tournament: Digraph.from_rows
+        checks each row's range, and one arc per pair is left to the caller."""
         t = cls.__new__(cls)
         t.digraph = Digraph.from_rows(rows)
         return t
@@ -506,10 +507,11 @@ def random_tournament(n: int, rng: random.Random) -> Tournament:
     # pair i's bit is the top bit of byte 4i + 3
     draw = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype=np.uint8)
     bits = np.zeros((n, n), dtype=bool)
+    upper = np.arange(n)[:, None] < np.arange(n)
     # a boolean mask fills in row-major order, which is lexicographic pair order
-    bits[np.arange(n)[:, None] < np.arange(n)] = draw[3::4] >= 128
+    bits[upper] = draw[3::4] >= 128
     # and v beats u < v unless u beats v
-    bits |= np.tril(~bits.T, -1)
+    bits |= ~bits.T & upper.T
     return Tournament._from_rows(_rows_of(bits))
 
 

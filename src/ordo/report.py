@@ -77,7 +77,7 @@ from .redei import (
     redei_hamiltonian_path,
 )
 from .seedsearch import rotation_seed_search
-from .turan import turan_extremal_graph, turan_max_edges, turan_params
+from .turan import turan_extremal_graph, turan_max_edges, turan_part_sizes
 
 __all__ = ["ReportEntry", "Report", "reproduce_all", "render_table"]
 
@@ -592,8 +592,8 @@ def _turan_examples(seed: int) -> tuple[str, str]:
         g = turan_extremal_graph(n, k)
         if turan_max_edges(n, k) != edges or g.edge_count != edges:
             failures.append(f"({n},{k}): {g.edge_count} edges")
-        if turan_params(n, k).part_sizes() != parts:
-            failures.append(f"({n},{k}): parts {turan_params(n, k).part_sizes()}")
+        if turan_part_sizes(n, k) != parts:
+            failures.append(f"({n},{k}): parts {turan_part_sizes(n, k)}")
         if not _is_complete_multipartite(g, parts):
             failures.append(f"({n},{k}): structure broken")
         if find_clique(g, k + 1) is not None:
@@ -611,7 +611,7 @@ def _turan_sweep(seed: int) -> tuple[str, str]:
             if g.edge_count != turan_max_edges(n, k):
                 failures.append(f"({n},{k}): edge count off")
             # complete k-partite implies no K_{k+1} by pigeonhole
-            elif not _is_complete_multipartite(g, turan_params(n, k).part_sizes()):
+            elif not _is_complete_multipartite(g, turan_part_sizes(n, k)):
                 failures.append(f"({n},{k}): structure broken")
     for n in range(1, 201):
         for k in range(1, n + 1):

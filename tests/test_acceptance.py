@@ -57,7 +57,7 @@ from ordo.report import (
     reproduce_all,
 )
 from ordo.seedsearch import rotation_seed_search
-from ordo.turan import turan_extremal_graph, turan_max_edges, turan_params
+from ordo.turan import turan_extremal_graph, turan_max_edges, turan_part_sizes
 
 import random
 
@@ -290,14 +290,14 @@ def test_criterion_11_turan_formula_and_graphs():
     g = turan_extremal_graph(7, 3)
     if not (
         g.edge_count == 16
-        and turan_params(7, 3).part_sizes() == [3, 2, 2]
+        and turan_part_sizes(7, 3) == [3, 2, 2]
         and find_clique(g, 4) is None
     ):
         failures.append("(7,3) extremal graph wrong")
     g = turan_extremal_graph(13, 4)
     if not (
         g.edge_count == 63
-        and turan_params(13, 4).part_sizes() == [4, 3, 3, 3]
+        and turan_part_sizes(13, 4) == [4, 3, 3, 3]
         and turan_max_edges(13, 4) == 63
     ):
         failures.append("(13,4) extremal graph wrong")

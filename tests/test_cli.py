@@ -13,11 +13,11 @@ import tracemalloc
 
 import pytest
 
-from ordo import report
+from ordo import cli, report, turan
 from ordo.cli import build_parser, main
 from ordo.debruijn import DBParams, martin, word_decode
 from ordo.graphio import write_coloring, write_digraph
-from ordo.graphs import EdgeColoring, Tournament, random_tournament
+from ordo.graphs import EdgeColoring, SimpleGraph, Tournament, random_tournament
 from ordo.ramsey import k17_mod3_coloring
 from ordo.seedsearch import append_seed_cache
 
@@ -220,6 +220,14 @@ class TestTuran:
         assert code == 0
         assert "oracle" not in out
         assert "consistent" in out
+
+    def test_verify_reports_a_mismatch(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "max_edges_without_clique_oracle", lambda n, k: 0)
+        code, out, _ = run(capsys, "turan", "verify", "5", "2")
+        assert code == 1 and out.endswith("oracle: 0\nMISMATCH between formula and oracle\n")
+        monkeypatch.setattr(turan, "turan_extremal_graph", lambda n, k: SimpleGraph(n))
+        code, out, _ = run(capsys, "turan", "verify", "5", "2")
+        assert code == 1 and out.endswith("0 edges, parts [3, 2]\nMISMATCH between formula and graph\n")
 
     def test_bad_arguments(self, capsys):
         code, _, err = run(capsys, "turan", "bound", "3", "9")
@@ -524,10 +532,17 @@ class TestReproduce:
     def test_json_onto_a_directory_leaves_no_temporary_file(self, tmp_path, capsys):
         target = tmp_path / "r.json"
         target.mkdir()
-        code, _, err = run(capsys, "reproduce", "--quick", "--json", str(target))
+        code, out, err = run(capsys, "reproduce", "--quick", "--json", str(target))
         assert code == 2 and "error:" in err
+        assert out == ""  # refused before the report runs
         assert list(tmp_path.iterdir()) == [target]
         assert list(target.iterdir()) == []
+        # a target whose directory does not exist is refused by its own name
+        missing = tmp_path / "nodir" / "r.json"
+        code, out, err = run(capsys, "reproduce", "--quick", "--json", str(missing))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error:") and str(missing) in err
+        assert list(tmp_path.iterdir()) == [target]
 
     def test_mismatch_exits_one(self, monkeypatch, capsys):
         monkeypatch.setitem(

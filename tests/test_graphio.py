@@ -403,6 +403,26 @@ class TestSizeGuard:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize(
+        "read, header", [(read_graph, "n 2\n1 2\n"), (read_digraph, "digraph n 2\n1 -> 2\n")]
+    )
+    def test_long_text_before_the_header_costs_linear_memory(self, read, header):
+        # a pattern that repeats over every line before the header keeps
+        # backtracking state per line: 56-85 MB on these texts
+        blank, commented = "\n" * 200_000, "# comment\n" * 200_000 + header
+        for text in (blank, commented):
+            tracemalloc.start()
+            try:
+                if text is blank:
+                    with pytest.raises(ValueError, match="must start with a header line"):
+                        read(text)
+                else:
+                    assert read(text).vertex_count == 2
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16_000_000
+
     def test_the_limit_itself_is_read(self):
         n = GRAPH_VERTEX_LIMIT
         d = read_digraph(f"digraph n {n}\n1 -> {n}\n")

@@ -367,6 +367,8 @@ class TestDigraph:
     def test_range(self):
         with pytest.raises(ValueError):
             Digraph(2, [(0, 2)])
+        with pytest.raises(ValueError, match="vertex_count must be non-negative"):
+            Digraph(-1)
 
     def test_from_rows_matches_arc_list(self):
         rng = random.Random(14)
@@ -593,8 +595,12 @@ class TestEdgeColoring:
             EdgeColoring(3, 2, [0, 1, 2])
         with pytest.raises(ValueError):
             EdgeColoring(3, 0, [0, 0, 0])
+        with pytest.raises(ValueError, match="vertex_count must be non-negative"):
+            EdgeColoring(-1, 2, ())
         col = EdgeColoring(3, 2, [0, 1, 0])
         with pytest.raises(ValueError):
             col.color_of(1, 1)
+        with pytest.raises(ValueError, match=r"pair \(0, 3\) out of range"):
+            col.color_of(0, 3)
         with pytest.raises(ValueError):
             col.color_class(2)

@@ -203,6 +203,8 @@ class TestBounds:
         assert erdos_szekeres_bound(3, 4) == 10
         assert erdos_szekeres_bound(4, 4) == 20
         assert erdos_szekeres_bound(5, 5) == math.comb(8, 4)
+        with pytest.raises(ValueError, match="need m >= 1 and k >= 1"):
+            erdos_szekeres_bound(0, 3)
 
     def test_diagonal_lower_bound(self):
         assert diagonal_lower_bound(3) == 2.0**1.5
@@ -225,6 +227,8 @@ class TestBounds:
                 )
         with pytest.raises(ValueError):
             multicolor_multinomial_bound(())
+        with pytest.raises(ValueError, match="forbidden clique sizes must be >= 1"):
+            multicolor_multinomial_bound((3, 0))
 
     def test_triangle_multicolor(self):
         assert erdos_triangle_multicolor_bound(1) == 3

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import inspect
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from ordo.debruijn import DBParams, word_decode
+from ordo import report
+from ordo.debruijn import DBParams, martin, word_decode
 from ordo.graphs import SimpleGraph, complete_multipartite
 from ordo.report import (
     _REGISTRY,
@@ -155,6 +157,47 @@ class TestRunOne:
         assert entry.status == STATUS_FLAGGED
         assert entry.expected != entry.computed
         assert "12635683568857645056" in entry.computed
+
+    @pytest.mark.parametrize(
+        "claim, name, fake, computed",
+        [
+            (
+                "seed search (3,2), full tree",
+                "rotation_seed_search",
+                lambda real: lambda params, find_all: SimpleNamespace(seeds=[martin(params)]),
+                "1 words; missing 0011220210; missing 0021011220",
+            ),
+            (
+                "seed search (5,2), first seed",
+                "rotation_seed_search",
+                lambda real: lambda params, find_all: SimpleNamespace(seeds=[]),
+                "no seed found",
+            ),
+            (
+                "ramsey check (3,3): K_5 no, K_6 yes",
+                "exhaustive_ramsey_check",
+                lambda real: lambda m, k, n: (n == 5, None),
+                "K_5 check broken; K_6 not forced",
+            ),
+            (
+                "insertion path, random tournaments",
+                "redei_hamiltonian_path",
+                lambda real: lambda t: real(t)[::-1],
+                "invalid path at trial 0 (n = 51)",
+            ),
+            (
+                "clique-free maxima: formula vs oracle",
+                "max_edges_without_clique_oracle",
+                lambda real: lambda n, k: 0 if (n, k) == (7, 3) else real(n, k),
+                "(7,3): formula 16, oracle 0",
+            ),
+        ],
+    )
+    def test_failure_texts(self, monkeypatch, claim, name, fake, computed):
+        # each checker's failure branch, reached by breaking the one call it checks
+        monkeypatch.setattr(report, name, fake(getattr(report, name)))
+        entry = _run_one(claim, 0)
+        assert (entry.status, entry.computed) == (STATUS_MISMATCH, computed)
 
     def test_seed_search_entries_match(self, default_report):
         entries = {e.claim: e for e in default_report.entries}

@@ -11,27 +11,23 @@ from ordo.graphs import GRAPH_VERTEX_LIMIT, find_clique, max_edges_without_cliqu
 from ordo.turan import (
     turan_extremal_graph,
     turan_max_edges,
-    turan_params,
+    turan_part_sizes,
 )
 
 
 class TestParams:
     def test_partition(self):
-        p = turan_params(13, 4)
-        assert (p.h, p.r) == (3, 1)
-        assert p.part_sizes() == [4, 3, 3, 3]
-        assert sum(p.part_sizes()) == 13
+        assert turan_part_sizes(13, 4) == [4, 3, 3, 3]
+        assert sum(turan_part_sizes(13, 4)) == 13
 
     def test_divisible_case(self):
-        p = turan_params(12, 4)
-        assert (p.h, p.r) == (3, 0)
-        assert p.part_sizes() == [3, 3, 3, 3]
+        assert turan_part_sizes(12, 4) == [3, 3, 3, 3]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="1 <= k <= n"):
-            turan_params(3, 4)
+            turan_part_sizes(3, 4)
         with pytest.raises(ValueError):
-            turan_params(3, 0)
+            turan_part_sizes(3, 0)
 
 
 class TestMaxEdges:
