@@ -20,9 +20,10 @@ The one accepted form, which is the form the writers emit:
 - Blank and comment lines may stand anywhere; the first other line is
   the header.
 
-Each format has one reader: pattern searches for the header line and
-for a line that does not fit, then one numpy pass that reads every
-number and checks them as arrays.  Its ValueError names
+Each format has one reader: one pattern search for the first line that
+is not blank, read as the header, and one for a later line that does
+not fit, then one numpy pass that reads every number and checks them
+as arrays.  Its ValueError names
 
 - for a missing header, or other text before it: the header line the
   format needs;
@@ -73,10 +74,10 @@ _QUOTE_LIMIT = 80
 @functools.cache  # compiled on first use: a program that reads no graph pays nothing
 def _strict_form(header: str, line: str) -> tuple[re.Pattern[str], ...]:
     r"""The strict form of a format whose header and body lines have the
-    given fields, "N" standing for a number: patterns for the header
-    line, whose groups are its numbers, for a line break followed by a
-    line that is not blank, and for one followed by a line that is not
-    a body line.
+    given fields, "N" standing for a number: a pattern for the first
+    line that is not blank, whose groups are the numbers of that line
+    when it is the header line and None otherwise, and one for a line
+    break followed by a line that is not a body line.
 
     Blank and comment lines, then the header line, then lines that hold
     the line fields, a comment, both or neither.  Lines end at \n only,
@@ -95,15 +96,12 @@ def _strict_form(header: str, line: str) -> tuple[re.Pattern[str], ...]:
         return "[ \t]+".join(number if f == "N" else re.escape(f) for f in spec.split())
 
     comment = f"(?:#[^{_LINE_BREAKS}]*)?"
-
-    def break_before_other_than(form: str) -> re.Pattern[str]:
-        # starting with a literal \n lets search skip from line to line
-        return re.compile(f"\n(?!{form}$)", re.MULTILINE)
-
+    header_line = f"[ \t]*{fields(header, '([0-9]{1,18})')}[ \t]*{comment}"
+    body_line = f"[ \t]*(?:{fields(line, '[0-9]{1,18}')}[ \t]*)?{comment}"
     return (
-        re.compile(f"^[ \t]*{fields(header, '([0-9]{1,18})')}[ \t]*{comment}$", re.MULTILINE),
-        break_before_other_than(f"[ \t]*{comment}"),
-        break_before_other_than(f"[ \t]*(?:{fields(line, '[0-9]{1,18}')}[ \t]*)?{comment}"),
+        re.compile(f"^(?![ \t]*{comment}$)(?:{header_line}$)?", re.MULTILINE),
+        # starting with a literal \n lets search skip from line to line
+        re.compile(f"\n(?!{body_line}$)", re.MULTILINE),
     )
 
 
@@ -111,16 +109,16 @@ def _read_fields(
     text: str, header: str, line: str, header_error: str, line_error: str
 ) -> tuple[list[int], np.ndarray]:
     r"""The header numbers and the body numbers, one row per body line, of
-    a text in the strict form of these fields.  A text
-    whose first line that is not blank is no header line raises
-    header_error; a later line that is not a body line raises
-    line_error, with the line's number and its first _QUOTE_LIMIT
-    characters.  \r\n ends a line as \n does."""
+    a text in the strict form of these fields.  One search reads the
+    first line that is not blank as the header; a text with no such
+    line, or no header line there, raises header_error.  A later line
+    that is not a body line raises line_error, with the line's number
+    and its first _QUOTE_LIMIT characters.  \r\n ends a line as \n does."""
     if "\r" in text:  # a far quicker search than a replace that finds nothing
         text = text.replace("\r\n", "\n")
-    header_line, not_blank, not_body = _strict_form(header, line)
-    head = header_line.search(text)
-    if head is None or not_blank.search("\n" + text[: head.start()]):
+    first_line, not_body = _strict_form(header, line)
+    head = first_line.search(text)
+    if head is None or head.group(1) is None:
         raise ValueError(header_error)
     bad = not_body.search(text, head.end())
     if bad:

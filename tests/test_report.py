@@ -191,6 +191,37 @@ class TestRunOne:
                 lambda real: lambda n, k: 0 if (n, k) == (7, 3) else real(n, k),
                 "(7,3): formula 16, oracle 0",
             ),
+            (
+                "seed validity (7,2)",
+                "pairwise_arc_disjoint",
+                lambda real: lambda family: False,
+                "family is not arc-disjoint",
+            ),
+            (
+                "seed search (4,3), both reference seeds",
+                "rotation_seed_search",
+                lambda real: lambda params, find_all, on_seed: SimpleNamespace(seeds=[]),
+                "missing: " + ", ".join(sorted(report.REFERENCE_SEEDS[(4, 3)])),
+            ),
+            (
+                "three-colored K_17",
+                "verify_coloring",
+                lambda real: lambda coloring, sizes: None,
+                "verifier found no witness",
+            ),
+            (
+                "reference tournament examples",
+                "count_hamiltonian_paths_oracle",
+                lambda real: lambda t: 0,
+                "cyclic triangle count off; transitive count off",
+            ),
+            (
+                "greedy cycle is never a rotation seed",
+                "pairwise_arc_disjoint",
+                lambda real: lambda family: True,
+                "greedy (3,2) family is arc-disjoint; greedy (3,3) family is arc-disjoint; "
+                "greedy (4,2) family is arc-disjoint",
+            ),
         ],
     )
     def test_failure_texts(self, monkeypatch, claim, name, fake, computed):

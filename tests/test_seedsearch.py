@@ -66,15 +66,37 @@ def reference_seed_search(
     find_all: bool = False,
     node_budget: int | None = None,
     resume_after: DeBruijnWord | None = None,
+    cutoff: int | None = None,
 ) -> tuple[list[str], int, bool, bool]:
     """(seeds, nodes_explored, completed, budget_exhausted) of a seed
     search, by a DFS that tests every letter's step against the state at
     every visit and tracks the resume word's path with a per-frame flag:
-    the seed search oracle."""
+    the seed search oracle.
+
+    With a cutoff, a node whose path leaves at least cutoff vertices off
+    it is counted and then pruned when some vertex off the path has no
+    free arc in from the new vertex or from another vertex off the path:
+    every Hamiltonian completion enters each such vertex along one."""
     n, m = params.n, params.m
     total = params.vertex_count
     base = n ** (m - 1)
     orbits = reference_arc_orbits(params)
+
+    # the arcs into u other than its loop: from p = u // n + k * base,
+    # k < n, with arc id p * n + u % n
+    arcs_in = [
+        [(p, total + p * n + u % n) for p in range(u // n, total, base) if p != u]
+        for u in range(total)
+    ]
+
+    def starved(state: int, w: int) -> bool:
+        return any(
+            not state >> u & 1
+            and not any(
+                (p == w or not state >> p & 1) and not state >> arc & 1 for p, arc in arcs_in[u]
+            )
+            for u in range(total)
+        )
 
     def step(v: int, s: int) -> tuple[int, int, int, int]:
         w = (v % base) * n + s
@@ -113,7 +135,7 @@ def reference_seed_search(
                 seeds.append(word_encode(DeBruijnWord(params, letters)))
                 if not find_all:
                     return seeds, nodes, True, False
-        else:
+        elif cutoff is None or total - depth - 2 < cutoff or not starved(state | add, w):
             saved.append((state, tight))
             state |= add
             tight = step_tight
@@ -236,6 +258,47 @@ class TestAgainstTheReference:
         assert searched(params, find_all, node_budget=budget, resume_after=resume) == (
             expected_search(params, find_all, budget, resume)
         )
+
+
+def assert_prune_keeps_the_seeds(params: DBParams, resume: DeBruijnWord | None) -> None:
+    seeds, nodes, completed, _ = reference_seed_search(params, True, None, resume)
+    for cutoff in (0, 4, 8):
+        pruned = reference_seed_search(params, True, None, resume, cutoff)
+        assert (pruned[0], pruned[2]) == (seeds, completed), cutoff
+        assert pruned[1] <= nodes, cutoff
+
+
+class TestPrunedReference:
+    # the reference with the in-test prune is the oracle of a pruning
+    # kernel, node for node; the prune itself must lose no seed
+    def test_full_trees_keep_their_seeds(self):
+        for params in SMALL_GRAPHS:
+            if tree_size(params, True, None) < NODE_CAP:
+                assert_prune_keeps_the_seeds(params, None)
+
+    def test_resumes_keep_their_seeds(self):
+        for params in RESUMABLE:
+            # about six words, from the middle of each sixth of the census
+            words = census_words(params)
+            step = len(words) // 6
+            for resume in words[step // 2 :: step]:
+                assert_prune_keeps_the_seeds(params, resume)
+
+    def test_node_counts(self):
+        seeds, nodes, completed, _ = reference_seed_search(DBParams(5, 2), cutoff=0)
+        assert (seeds, nodes, completed) == ([REFERENCE_SEEDS[(5, 2)][0]], 235, True)
+        for cutoff, count in ((0, 10_704), (8, 17_664)):
+            seeds, nodes, completed, _ = reference_seed_search(DBParams(4, 2), True, cutoff=cutoff)
+            assert (len(seeds), nodes, completed) == (288, count, True)
+
+    def test_budgets_that_end_on_pruned_nodes(self):
+        # the budget is checked after a pruned node too, so a search stops
+        # at exactly its budget wherever the budget falls
+        for budget in range(87):
+            _, nodes, completed, exhausted = reference_seed_search(
+                DBParams(3, 2), True, budget, cutoff=0
+            )
+            assert (nodes, exhausted, completed) == (min(budget, 84), budget <= 84, budget > 84)
 
 
 class TestFullSearch:
