@@ -9,8 +9,12 @@ committing an arc commits its orbit, and freshness collapses to one
 bit per arc.  This prunes enormously earlier than building the family
 per leaf would.  The path and the committed orbits share one state
 bitmask in which a vertex's n successors, and its n out-arcs, take n
-adjacent bits, so a frame reads its free letters once, when it is
-pushed, with two shifts of the state.
+adjacent bits, so the free letters of a vertex are read once, when the
+path reaches it, with two shifts of the state.  The DFS runs on the
+call stack: one recursive call per path vertex holds that vertex's
+steps and state, and a step to a vertex with no free letter is counted
+but makes no call.  The admitted 512 vertices take about 511 frames,
+inside Python's default recursion limit.
 
 Seeds stream out in lexicographic word order.  A search can therefore
 resume from the largest seed recorded in a cache file: the DFS walks
@@ -80,6 +84,10 @@ class SeedSearchResult:
     def completed(self) -> bool:
         # tree exhausted, or the search stopped at a seed as asked
         return not self.budget_exhausted
+
+
+class _Stop(Exception):
+    """Unwinds the seed DFS when a seed or a budget ends it."""
 
 
 def _sigma_arc_map(params: DBParams) -> list[int]:
@@ -163,10 +171,10 @@ def rotation_seed_search(
     # per vertex w: where its successor bits and its out-arc bits start,
     # and its free steps by the mask of taken letters, filled as masks turn
     # up (2^n entries a vertex, built up front, would not fit)
-    frames = [((v % base) * n, total + v * n, {}) for v in range(total)]
+    lookup = [((v % base) * n, total + v * n, {}) for v in range(total)]
 
     def free_steps(w: int, state: int) -> tuple[tuple[int, int, int], ...]:
-        at_succ, at_arc, table = frames[w]
+        at_succ, at_arc, table = lookup[w]
         taken = (state >> at_succ | state >> at_arc) & low
         if taken not in table:
             table[taken] = tuple(t for t in steps[w] if not taken >> t[0] & 1)
@@ -182,24 +190,24 @@ def rotation_seed_search(
     ):
         return SeedSearchResult(params, seeds, nodes, True)
 
+    last = total - 2  # the depth of the last vertex
+    syms = [0] * last  # the path's letters, written by depth
     state = 1
-    syms: list[int] = []
-    saved: list[int] = []  # the state below each frame
-    stack = [] if bound else [iter(free_steps(0, state))]
     v = 0
+    # (steps still to try, the state, the depth) of each frame to visit
+    walk = [] if bound else [(free_steps(0, state), state, 0)]
     for depth, b in enumerate(bound):
         # walk the resume word's path once, counting its nodes, as far as
         # it is free; each frame on it goes on above the word's letter, and
         # the word itself, at the last vertex, is not reported again
         here = free_steps(v, state)
-        stack.append(iter([t for t in here if t[0] > b]))
+        walk.append(([t for t in here if t[0] > b], state, depth))
         if steps[v][b] not in here:
             break
         nodes += 1
-        if depth + 2 == total:
+        if depth == last:
             break
-        saved.append(state)
-        syms.append(b)
+        syms[depth] = b
         _, v, add = steps[v][b]
         state |= add
     # one comparison per node folds both budgets: check_at is the node budget
@@ -208,44 +216,66 @@ def rotation_seed_search(
     check_at = min(limit, sys.maxsize if deadline is None else _BUDGET_CHECK_STRIDE)
     if check_at <= nodes:
         return SeedSearchResult(params, seeds, check_at, True)
-    last = total - 2  # the depth of the last vertex
-    while stack:
-        for s, w, add in stack[-1]:
-            break
-        else:
-            stack.pop()
-            if saved:
-                state = saved.pop()
-                syms.pop()
-            continue
-        nodes += 1
-        if len(syms) == last:
-            # last vertex.  The closing arc w -> 0^m appends letter 0, so
-            # it exists when w ends in m-1 zeros.  It is always free: sigma
+    exhausted = False
+
+    def check() -> None:
+        # at node check_at: stop when a budget has run out, else set the
+        # next check
+        nonlocal check_at, exhausted
+        if nodes == node_budget or time.monotonic() > deadline:
+            exhausted = True
+            raise _Stop
+        check_at = min(limit, nodes + _BUDGET_CHECK_STRIDE)
+
+    def visit(here: tuple[tuple[int, int, int], ...], state: int, depth: int) -> None:
+        # one call per path vertex; its steps are the nodes it counts
+        nonlocal nodes
+        if depth == last:
+            # last vertex: each step closes a seed.  The closing arc
+            # w -> 0^m exists: the path's vertices are the arcs of
+            # B(n, m-1), each once, and a trail through every arc of a
+            # digraph with in-degree = out-degree everywhere ends where it
+            # began, so w ends in m-1 zeros.  It is always free: sigma
             # fixes the letter 0, so every arc of its orbit appends 0 to a
             # word ending in m-1 zeros, leading into 0^m, which no path arc
             # does.
-            if w % base == 0:
+            for s, _, _ in here:
+                nodes += 1
                 letters = ((0,) * m + tuple(syms) + (s,))[:total]
                 family = _checked_words(params, _family_rows(params, letters))  # one batch
                 assert pairwise_arc_disjoint(family)
                 seeds.append(family[0])
                 stop = on_seed(family[0], nodes) if on_seed is not None else None
                 if stop or not find_all:
-                    return SeedSearchResult(params, seeds, nodes, False)
-        else:
-            saved.append(state)
-            state |= add
-            syms.append(s)
+                    raise _Stop
+                if nodes == check_at:
+                    check()
+            return
+        for s, w, add in here:
+            nodes += 1
+            child = state | add
             # free_steps, inlined
-            at_succ, at_arc, table = frames[w]
-            here = table.get((state >> at_succ | state >> at_arc) & low)
-            stack.append(iter(free_steps(w, state) if here is None else here))
-        if nodes == check_at:
-            if nodes == node_budget or time.monotonic() > deadline:
-                return SeedSearchResult(params, seeds, nodes, True)
-            check_at = min(limit, nodes + _BUDGET_CHECK_STRIDE)
-    return SeedSearchResult(params, seeds, nodes, False)
+            at_succ, at_arc, table = lookup[w]
+            free = table.get((child >> at_succ | child >> at_arc) & low)
+            if free is None:
+                free = free_steps(w, child)
+            if nodes == check_at:
+                check()
+            if free:  # a dead end costs no call
+                syms[depth] = s
+                visit(free, child, depth + 1)
+
+    try:
+        # the root, or the resume walk's frames deepest first
+        for frame in reversed(walk):
+            visit(*frame)
+    except _Stop:
+        pass
+    finally:
+        # visit reaches itself through its closure: break that cycle, so the
+        # tables go when the search returns, not at the next collection
+        del visit
+    return SeedSearchResult(params, seeds, nodes, exhausted)
 
 
 def append_seed_cache(path: str, word: DeBruijnWord, nodes_explored: int) -> None:

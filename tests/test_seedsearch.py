@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import time
 import tracemalloc
@@ -545,6 +546,16 @@ class TestBudgets:
         assert len(result.seeds) == 1
         assert result.completed
 
+    def test_seed_stop_and_budget_stop_meet(self):
+        # a seed that ends the search on the budget's last node completes
+        # it; one node less and the budget ends it before the seed
+        p = DBParams(4, 2)
+        k = rotation_seed_search(p).nodes_explored
+        result = rotation_seed_search(p, True, on_seed=lambda w, nodes: True, node_budget=k)
+        assert (result.completed, len(result.seeds), result.nodes_explored) == (True, 1, k)
+        result = rotation_seed_search(p, True, on_seed=lambda w, nodes: True, node_budget=k - 1)
+        assert (result.budget_exhausted, result.seeds, result.nodes_explored) == (True, [], k - 1)
+
 
 class TestSizeGuard:
     def test_refused_before_building_tables(self):
@@ -577,6 +588,32 @@ class TestSizeGuard:
             tracemalloc.stop()
         assert result.nodes_explored == 2000 and result.budget_exhausted
         assert peak < 40_000_000
+
+    def test_deepest_path_fits_the_default_recursion_limit(self):
+        # the search takes one Python frame per path vertex.  (2,9) has the
+        # most vertices admitted, 512, and within 3,000 nodes its path
+        # reaches the last of them (it finds seeds); it still fits when
+        # the caller is already 300 frames deep
+        def nested(depth: int):
+            if depth:
+                return nested(depth - 1)
+            return rotation_seed_search(DBParams(2, 9), find_all=True, node_budget=3000)
+
+        result = nested(300)
+        assert result.budget_exhausted and result.nodes_explored == 3000
+        assert result.seeds
+
+    def test_search_leaves_no_reference_cycle(self):
+        # the recursive visit reaches itself through its closure; left as a
+        # cycle, each search's tables would live on until a collection
+        for kwargs in ({}, {"find_all": True}, {"find_all": True, "node_budget": 50}):
+            gc.collect()
+            gc.disable()
+            try:
+                rotation_seed_search(DBParams(3, 2), **kwargs)
+                assert gc.collect() == 0, kwargs
+            finally:
+                gc.enable()
 
 
 class TestParityPins:
