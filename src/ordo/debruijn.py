@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -58,8 +57,8 @@ ENUMERATION_CYCLE_LIMIT = 10**6
 COUNT_DIGIT_LIMIT = 4300  # the interpreter's default int-to-str digit limit
 DISJOINTNESS_CYCLE_LIMIT = 3000
 MARTIN_VERTEX_LIMIT = 2**20
-# words the census validates per numpy pass; larger batches buy little
-# speed and raise peak memory
+# the fewest words the census validates per numpy pass (the last batch may
+# hold fewer); larger batches buy little speed and raise peak memory
 CENSUS_BATCH = 512
 
 
@@ -342,9 +341,9 @@ def _enumeration_count(params: DBParams) -> int:
 def enumerate_hamiltonian_cycles(params: DBParams) -> Iterator[DeBruijnWord]:
     """All Hamiltonian cycles of B(n, m), in lexicographic word order.
 
-    Iterative DFS from the 0^m vertex trying letters in ascending
-    order, which makes the canonical words come out sorted.  Guarded:
-    refuses when n^m > 27 or when the closed-form count is over 10^6.
+    DFS from the 0^m vertex trying letters in ascending order, which
+    makes the canonical words come out sorted.  Guarded: refuses when
+    n^m > 27 or when the closed-form count is over 10^6.
 
     B(n, m) is the line digraph of B(n, m-1), so a vertex's successors
     depend only on its last m-1 letters, and the completions of a path
@@ -359,17 +358,19 @@ def enumerate_hamiltonian_cycles(params: DBParams) -> Iterator[DeBruijnWord]:
     depth: the (3,3) census takes its last 12 letters from 34,151
     entries.
 
-    Every word is validated as DeBruijnWord's constructor would, but
-    CENSUS_BATCH words at a time in one numpy pass (`_checked_words`),
-    so the words come out in batches of that size.
+    The prefix before the memo's tails is a recursive DFS, one call per
+    prefix vertex.  Every word is validated as DeBruijnWord's
+    constructor would, but a batch of at least CENSUS_BATCH words (the
+    last may be shorter) in one numpy pass (`_checked_words`), so the
+    words come out a batch at a time.
     """
-    letters = _cycle_letters(params)
-    while batch := list(islice(letters, CENSUS_BATCH)):
-        yield from _checked_words(params, batch)
+    for rows in _cycle_letters(params):
+        yield from _checked_words(params, rows)
 
 
-def _cycle_letters(params: DBParams) -> Iterator[tuple[int, ...]]:
-    # the letter tuples of enumerate_hamiltonian_cycles, not yet validated
+def _cycle_letters(params: DBParams) -> Iterator[list[tuple[int, ...]]]:
+    # the letter tuples of enumerate_hamiltonian_cycles, not yet validated,
+    # in batches of at least CENSUS_BATCH rows, apart from the last
     _enumeration_count(params)
     n, m = params.n, params.m
     total = params.vertex_count
@@ -418,35 +419,37 @@ def _cycle_letters(params: DBParams) -> Iterator[tuple[int, ...]]:
     # a tail's last m-1 letters are the zeros that lead back to 0^m, which
     # the cyclic word already starts with: unpack each tail without them
     unpack = struct.Struct(f"<{depth - (m - 1)}B{m - 1}x").iter_unpack
-    if cut == 0:
-        for t in unpack(tails(1, 0, depth)):
-            yield head + t
-        return
-    # each frame reads its free steps once, when it is pushed: it sees one
-    # visited set, which its children restore when they backtrack
-    visited = 1
-    syms: list[int] = []
-    saved: list[int] = []  # the visited bitmask below each frame
-    stack = [iter(free_steps[0][visited & low])]
-    while stack:
-        for s, w, q in stack[-1]:
-            break
+    syms = [0] * cut  # the prefix letters, written by depth
+    batch: list[tuple[int, ...]] = []
+
+    def visit(visited: int, r: int, d: int) -> Iterator[list[tuple[int, ...]]]:
+        # one call per prefix vertex, at depth d with suffix r; the steps
+        # at the last prefix depth put their cycles into the batch
+        nonlocal batch
+        here = free_steps[r][visited >> r * n & low]
+        if d + 1 < cut:
+            for s, w, q in here:
+                syms[d] = s
+                yield from visit(visited | 1 << w, q, d + 1)
+            return
+        for s, w, q in here:
+            syms[d] = s
+            batch += map((head + tuple(syms)).__add__, unpack(tails(visited | 1 << w, q, depth)))
+            if len(batch) >= CENSUS_BATCH:
+                yield batch
+                batch = []  # a new list: the caller may keep the one yielded
+
+    try:
+        if cut:
+            yield from visit(1, 0, 0)
         else:
-            stack.pop()
-            if saved:
-                visited = saved.pop()
-                syms.pop()
-            continue
-        if len(syms) + 1 == cut:
-            prefix = head + tuple(syms) + (s,)
-            # a plain loop: `yield from map(...)` costs more on short tails
-            for t in unpack(tails(visited | 1 << w, q, depth)):
-                yield prefix + t
-            continue
-        saved.append(visited)
-        visited |= 1 << w
-        syms.append(s)
-        stack.append(iter(free_steps[q][visited >> q * n & low]))
+            batch += map(head.__add__, unpack(tails(1, 0, depth)))
+        if batch:
+            yield batch
+    finally:
+        # tails and visit reach themselves through their closures: break
+        # those cycles, so the memo goes when the census ends or is dropped
+        del tails, visit
 
 
 def sigma_symbol_map(n: int) -> tuple[int, ...]:

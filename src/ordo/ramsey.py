@@ -119,7 +119,13 @@ def exhaustive_ramsey_check(
             blue[v] ^= bu
         return False
 
-    if extend(0):
+    try:
+        found = extend(0)
+    finally:
+        # extend reaches itself through its closure: break that cycle, so
+        # its tables go when the check returns, not at the next collection
+        del extend
+    if found:
         # (u, v) with u < v sits at column rank v(v-1)/2 + u
         return False, EdgeColoring.from_function(
             n, 2, lambda u, v: colors[v * (v - 1) // 2 + u]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import gc
 import itertools
 import tracemalloc
 
@@ -15,11 +16,13 @@ from hypothesis import strategies as st
 from ordo import debruijn
 from ordo.debruijn import (
     ALPHABET,
+    CENSUS_BATCH,
     ENUMERATION_CYCLE_LIMIT,
     ENUMERATION_VERTEX_LIMIT,
     ArcConflict,
     DBParams,
     DeBruijnWord,
+    _cycle_letters,
     arc_conflict,
     count_hamiltonian_cycles,
     de_bruijn_graph,
@@ -39,12 +42,14 @@ from ordo.debruijn import (
 )
 from ordo.graphio import graph_to_dot
 from ordo.graphs import Digraph, SimpleGraph
+from ordo.ramsey import exhaustive_ramsey_check
 from ordo.report import (
     REFERENCE_BLOCK_5_2,
     REFERENCE_CYCLES_2_3,
     REFERENCE_CYCLES_3_2,
     REFERENCE_SEEDS,
 )
+from ordo.seedsearch import rotation_seed_search
 
 
 def reference_cycles(params: DBParams):
@@ -673,12 +678,47 @@ class TestCensus:
         # a kernel fault is caught in whichever batch it lands: the
         # first, a middle one or the short last one
         p = DBParams(4, 2)
-        good = [w.letters for w in census(p)]
-        for at in (0, 700, len(good)):
-            rows = good[:at] + [(0,) * 16] + good[at:]
-            monkeypatch.setattr(debruijn, "_cycle_letters", lambda params, rows=rows: iter(rows))
+        good = list(_cycle_letters(p))
+        assert len(good) > 2 and len(good[-1]) < CENSUS_BATCH
+        for at in (0, len(good) // 2, len(good) - 1):
+            batches = [list(rows) for rows in good]
+            batches[at].insert(len(batches[at]) // 2, (0,) * 16)
+            monkeypatch.setattr(debruijn, "_cycle_letters", lambda params, b=batches: iter(b))
             with pytest.raises(ValueError, match="window repeated at position 1"):
                 list(enumerate_hamiltonian_cycles(p))
+
+    def test_batches_are_not_reused(self):
+        # every batch kept before the next is drawn: a batch cleared or
+        # refilled in place after its yield would show here.  (3,3) and
+        # (10,1), the two largest, are left to test_stream_matches_plain_dfs
+        for p in enumerable_params():
+            if p in (DBParams(3, 3), DBParams(10, 1)):
+                continue
+            batches = list(_cycle_letters(p))
+            assert all(len(rows) >= CENSUS_BATCH for rows in batches[:-1]), p
+            assert [t for rows in batches for t in rows] == list(reference_cycles(p)), p
+
+    def test_searches_leave_no_reference_cycle(self):
+        # each recursive search reaches itself through its closure; left as
+        # a cycle, its memo or tables would live on until a collection
+        searches = {
+            "census (3,2)": lambda: list(enumerate_hamiltonian_cycles(DBParams(3, 2))),
+            "census (4,2)": lambda: list(enumerate_hamiltonian_cycles(DBParams(4, 2))),
+            "census dropped after its first batch": lambda: list(
+                itertools.islice(enumerate_hamiltonian_cycles(DBParams(4, 2)), CENSUS_BATCH)
+            ),
+            "max disjoint (3,2)": lambda: max_disjoint_exact(DBParams(3, 2)),
+            "ramsey (3,4,8)": lambda: exhaustive_ramsey_check(3, 4, 8),
+            "seed search (3,2)": lambda: rotation_seed_search(DBParams(3, 2), find_all=True),
+        }
+        for name, search in searches.items():
+            gc.collect()
+            gc.disable()
+            try:
+                search()
+                assert gc.collect() == 0, name
+            finally:
+                gc.enable()
 
     def test_guards(self):
         with pytest.raises(ValueError, match="n\\^m must be"):

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ordo import report
+from ordo import debruijn, report
 from ordo.debruijn import DBParams, martin, word_decode
 from ordo.graphs import SimpleGraph, complete_multipartite
 from ordo.report import (
@@ -216,6 +216,13 @@ class TestRunOne:
                 "cyclic triangle count off; transitive count off",
             ),
             (
+                "cycle count formula, small cases",
+                "_cycle_letters",
+                lambda real: lambda params: (rows[:-1] for rows in real(params)),
+                "(2,2): formula 1, enumeration 0; (2,3): formula 2, enumeration 1; "
+                "(3,2): formula 24, enumeration 23; (2,4): formula 16, enumeration 15",
+            ),
+            (
                 "greedy cycle is never a rotation seed",
                 "pairwise_arc_disjoint",
                 lambda real: lambda family: True,
@@ -229,6 +236,24 @@ class TestRunOne:
         monkeypatch.setattr(report, name, fake(getattr(report, name)))
         entry = _run_one(claim, 0)
         assert (entry.status, entry.computed) == (STATUS_MISMATCH, computed)
+
+    def test_count_checks_every_batch(self, monkeypatch):
+        # the count entry reads the census's letter batches, not its words;
+        # a bad row in the first, a middle or the short last batch raises
+        # the error the word census raises
+        p = DBParams(4, 2)
+        good = list(debruijn._cycle_letters(p))
+        assert report._count({(4, 2): 20736}, "ok", 0) == ("ok", "ok")
+        for at in (0, len(good) // 2, len(good) - 1):
+            batches = [list(rows) for rows in good]
+            batches[at].insert(len(batches[at]) // 2, (0,) * 16)
+            for module in (debruijn, report):
+                monkeypatch.setattr(module, "_cycle_letters", lambda params, b=batches: iter(b))
+            with pytest.raises(ValueError) as words:
+                list(debruijn.enumerate_hamiltonian_cycles(p))
+            with pytest.raises(ValueError) as count:
+                report._count({(4, 2): 20736}, "ok", 0)
+            assert str(count.value) == str(words.value) == "window repeated at position 1"
 
     def test_seed_search_entries_match(self, default_report):
         entries = {e.claim: e for e in default_report.entries}

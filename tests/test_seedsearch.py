@@ -7,7 +7,6 @@ import gc
 import json
 import time
 import tracemalloc
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -348,18 +347,17 @@ class TestFullSearch:
         assert sequencings(n - 1) == {3: 1, 5: 2, 7: 4, 9: 24, 11: 288}[n]
 
 
-def census_seed_letters(params: DBParams, batch: int = 4096) -> list[tuple[int, ...]]:
+def census_seed_letters(params: DBParams) -> list[tuple[int, ...]]:
     """The census words whose rotation family is pairwise arc-disjoint, in
-    census order, found a batch at a time without building any word."""
+    census order, found a kernel batch at a time without building any word."""
     n, m, total = params.n, params.m, params.vertex_count
     slots = n ** (m + 1)  # the arc ids of B(n, m)
     smap = np.array(sigma_symbol_map(n))
     powers = [np.arange(n)]  # powers[k] maps a letter to its image under sigma^k
     for _ in range(n - 2):
         powers.append(smap[powers[-1]])
-    letters = _cycle_letters(params)
     seeds = []
-    while rows := list(islice(letters, batch)):
+    for rows in _cycle_letters(params):
         _check_words(params, rows)
         # sigma fixes 0, so each image still starts at 0^m.  Row
         # k * len(rows) + b of family is the k-th image of word b, and its
