@@ -142,8 +142,7 @@ def _cmd_redei(args: argparse.Namespace) -> int:
     path = redei_hamiltonian_path(tournament)
     assert is_hamiltonian_path(tournament, path)
     if args.dot:
-        arcs = [(path[i], path[i + 1]) for i in range(len(path) - 1)]
-        sys.stdout.write(graphio.digraph_to_dot(digraph, highlight=arcs))
+        sys.stdout.writelines(graphio.digraph_dot_lines(digraph, highlight=zip(path, path[1:])))
     else:
         print(" ".join(str(v + 1) for v in path))
     return 0
@@ -181,13 +180,14 @@ def _cmd_ramsey(args: argparse.Namespace) -> int:
         return 0
     if args.ramsey_command == "andrasfai":
         g = ramsey.andrasfai_graph(args.k)
-        sys.stdout.writelines(graphio._graph_dot_lines(g) if args.dot else graphio._graph_lines(g))
+        sys.stdout.writelines(graphio.graph_dot_lines(g) if args.dot else graphio._graph_lines(g))
         return 0
     if args.ramsey_command == "k17":
         col = ramsey.k17_mod3_coloring()
-        sys.stdout.write(
-            graphio.coloring_to_dot(col) if args.dot else graphio.write_coloring(col)
-        )
+        if args.dot:
+            sys.stdout.writelines(graphio.coloring_dot_lines(col))
+        else:
+            sys.stdout.write(graphio.write_coloring(col))
         return 0
     raise AssertionError(args.ramsey_command)
 
@@ -199,7 +199,7 @@ def _cmd_turan(args: argparse.Namespace) -> int:
         return 0
     if args.turan_command == "graph":
         g = turan.turan_extremal_graph(n, k)
-        sys.stdout.writelines(graphio._graph_dot_lines(g) if args.dot else graphio._graph_lines(g))
+        sys.stdout.writelines(graphio.graph_dot_lines(g) if args.dot else graphio._graph_lines(g))
         return 0
     if args.turan_command == "verify":
         bound = turan.turan_max_edges(n, k)
@@ -226,9 +226,9 @@ def _cmd_debruijn(args: argparse.Namespace) -> int:
     if cmd == "graph":
         params = db.DBParams(args.n, args.m)
         if args.flower:
-            g, dot_lines = db.underlying_simple_graph(params), graphio._graph_dot_lines
+            g, dot_lines = db.underlying_simple_graph(params), graphio.graph_dot_lines
         elif args.dot:
-            g, dot_lines = db.de_bruijn_graph(params), graphio._digraph_dot_lines
+            g, dot_lines = db.de_bruijn_graph(params), graphio.digraph_dot_lines
         else:
             sys.stdout.writelines(graphio._digraph_lines(db.de_bruijn_graph(params)))
             return 0

@@ -419,29 +419,27 @@ def _cycle_letters(params: DBParams) -> Iterator[list[tuple[int, ...]]]:
     # a tail's last m-1 letters are the zeros that lead back to 0^m, which
     # the cyclic word already starts with: unpack each tail without them
     unpack = struct.Struct(f"<{depth - (m - 1)}B{m - 1}x").iter_unpack
-    syms = [0] * cut  # the prefix letters, written by depth
     batch: list[tuple[int, ...]] = []
 
-    def visit(visited: int, r: int, d: int) -> Iterator[list[tuple[int, ...]]]:
-        # one call per prefix vertex, at depth d with suffix r; the steps
-        # at the last prefix depth put their cycles into the batch
+    def visit(visited: int, r: int, prefix: tuple[int, ...]) -> Iterator[list[tuple[int, ...]]]:
+        # one call per prefix vertex, reached by the letters head + prefix
+        # and at suffix r; the steps at the last prefix depth put their
+        # cycles into the batch
         nonlocal batch
         here = free_steps[r][visited >> r * n & low]
-        if d + 1 < cut:
+        if len(prefix) + 1 < cut:
             for s, w, q in here:
-                syms[d] = s
-                yield from visit(visited | 1 << w, q, d + 1)
+                yield from visit(visited | 1 << w, q, prefix + (s,))
             return
         for s, w, q in here:
-            syms[d] = s
-            batch += map((head + tuple(syms)).__add__, unpack(tails(visited | 1 << w, q, depth)))
+            batch += map((head + prefix + (s,)).__add__, unpack(tails(visited | 1 << w, q, depth)))
             if len(batch) >= CENSUS_BATCH:
                 yield batch
                 batch = []  # a new list: the caller may keep the one yielded
 
     try:
         if cut:
-            yield from visit(1, 0, 0)
+            yield from visit(1, 0, ())
         else:
             batch += map(head.__add__, unpack(tails(1, 0, depth)))
         if batch:

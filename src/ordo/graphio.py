@@ -36,6 +36,12 @@ as arrays.  Its ValueError names
 Graph and digraph headers of more than GRAPH_VERTEX_LIMIT vertices,
 and coloring headers with more pairs than the file has lines, are
 refused before anything of their size is allocated.
+
+Each format has one writer, write_graph, write_digraph or
+write_coloring, which returns the file's text.  Each DOT drawing has
+one writer, graph_dot_lines, digraph_dot_lines or coloring_dot_lines,
+which yields its lines one at a time, so a large drawing can be
+streamed.
 """
 
 from __future__ import annotations
@@ -56,9 +62,9 @@ __all__ = [
     "write_digraph",
     "read_coloring",
     "write_coloring",
-    "graph_to_dot",
-    "digraph_to_dot",
-    "coloring_to_dot",
+    "graph_dot_lines",
+    "digraph_dot_lines",
+    "coloring_dot_lines",
 ]
 
 DOT_PALETTE = ("blue", "red", "green", "orange", "purple", "brown", "cyan", "gray")
@@ -266,10 +272,10 @@ def _node_names(n: int, names: Sequence[str] | None) -> list[str]:
     return list(names)
 
 
-def _graph_dot_lines(
+def graph_dot_lines(
     g: SimpleGraph, names: Sequence[str] | None = None, title: str = "G"
 ) -> Iterator[str]:
-    """The lines of graph_to_dot, each with its newline, one at a time."""
+    """The DOT lines of a graph, each with its newline, one at a time."""
     ids = _node_names(g.vertex_count, names)
     yield f"graph {title} {{\n"
     for v in range(g.vertex_count):
@@ -280,17 +286,15 @@ def _graph_dot_lines(
     yield "}\n"
 
 
-def graph_to_dot(g: SimpleGraph, names: Sequence[str] | None = None, title: str = "G") -> str:
-    return "".join(_graph_dot_lines(g, names, title))
-
-
-def _digraph_dot_lines(
+def digraph_dot_lines(
     d: Digraph,
     names: Sequence[str] | None = None,
     title: str = "G",
     highlight: Iterable[tuple[int, int]] = (),
 ) -> Iterator[str]:
-    """The lines of digraph_to_dot, each with its newline, one at a time."""
+    """The DOT lines of a digraph, each with its newline, one at a time;
+    highlighted arcs, if any, are drawn red and thick.  A highlight that
+    is no arc raises before the first line."""
     ids = _node_names(d.vertex_count, names)
     n = d.vertex_count
     marked = set(highlight)
@@ -307,25 +311,15 @@ def _digraph_dot_lines(
     yield "}\n"
 
 
-def digraph_to_dot(
-    d: Digraph,
-    names: Sequence[str] | None = None,
-    title: str = "G",
-    highlight: Iterable[tuple[int, int]] = (),
-) -> str:
-    """Highlighted arcs, if any, are drawn red and thick."""
-    return "".join(_digraph_dot_lines(d, names, title, highlight))
-
-
-def coloring_to_dot(col: EdgeColoring) -> str:
-    """One DOT color per edge color, cycling through a fixed palette."""
+def coloring_dot_lines(col: EdgeColoring) -> Iterator[str]:
+    """The DOT lines of a coloring, each with its newline, one at a time:
+    one DOT color per edge color, cycling through a fixed palette."""
     n = col.vertex_count
-    lines = ["graph G {"]
+    yield "graph G {\n"
     for v in range(n):
-        lines.append(f'  "{v + 1}";')
+        yield f'  "{v + 1}";\n'
     # the colors are stored in the order of the pairs' lines
     pairs = itertools.combinations(range(1, n + 1), 2)
     for (u, v), c in zip(pairs, col.colors):
-        lines.append(f'  "{u}" -- "{v}" [color={DOT_PALETTE[c % len(DOT_PALETTE)]}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  "{u}" -- "{v}" [color={DOT_PALETTE[c % len(DOT_PALETTE)]}];\n'
+    yield "}\n"

@@ -75,7 +75,6 @@ _CACHE_FIELDS = (
 
 @dataclass
 class SeedSearchResult:
-    params: DBParams
     seeds: list[DeBruijnWord]
     nodes_explored: int
     budget_exhausted: bool
@@ -148,7 +147,7 @@ def rotation_seed_search(
         # the letter after 0, to b, the letter before it, so they sum to
         # b - a; for odd n-1 the non-zero residues sum to 0, so a = b,
         # which a cycle through n >= 3 letters cannot have
-        return SeedSearchResult(params, [], 0, False)
+        return SeedSearchResult([], 0, False)
     total = params.vertex_count
     base = n ** (m - 1)
     low = (1 << n) - 1
@@ -188,7 +187,7 @@ def rotation_seed_search(
     if (node_budget is not None and node_budget <= 0) or (
         deadline is not None and time.monotonic() > deadline
     ):
-        return SeedSearchResult(params, seeds, nodes, True)
+        return SeedSearchResult(seeds, nodes, True)
 
     last = total - 2  # the depth of the last vertex
     syms = [0] * last  # the path's letters, written by depth
@@ -215,7 +214,7 @@ def rotation_seed_search(
     limit = sys.maxsize if node_budget is None else node_budget
     check_at = min(limit, sys.maxsize if deadline is None else _BUDGET_CHECK_STRIDE)
     if check_at <= nodes:
-        return SeedSearchResult(params, seeds, check_at, True)
+        return SeedSearchResult(seeds, check_at, True)
     exhausted = False
 
     def check() -> None:
@@ -275,7 +274,7 @@ def rotation_seed_search(
         # visit reaches itself through its closure: break that cycle, so the
         # tables go when the search returns, not at the next collection
         del visit
-    return SeedSearchResult(params, seeds, nodes, exhausted)
+    return SeedSearchResult(seeds, nodes, exhausted)
 
 
 def append_seed_cache(path: str, word: DeBruijnWord, nodes_explored: int) -> None:

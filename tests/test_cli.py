@@ -62,6 +62,26 @@ class TestRedei:
         assert code == 0
         assert out.count("penwidth") == 2  # the two path arcs
 
+    def test_dot_is_streamed(self, tmp_path, monkeypatch):
+        # reading a 300-vertex tournament peaks at about 2.3 MB traced; its
+        # DOT text and a list of its 45,152 lines would hold about 2 MB more
+        file = tmp_path / "t.txt"
+        file.write_text(write_digraph(random_tournament(300, random.Random(3)).digraph))
+        peaks = []
+        for extra in ([], ["--dot"]):
+            sink = LineSink()
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                code = main(["redei", str(file), *extra])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert sink.lines == 2 + 300 + 300 * 299 // 2
+        path_only, dot = peaks
+        assert dot < 1.25 * path_only
+
     def test_non_tournament_rejected(self, tmp_path, capsys):
         file = tmp_path / "d.txt"
         file.write_text("digraph n 3\n1 -> 2\n")
@@ -543,6 +563,17 @@ class TestReproduce:
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and err.startswith("error:") and str(missing) in err
         assert list(tmp_path.iterdir()) == [target]
+
+    def test_failed_json_write_leaves_no_temporary_file(self, tmp_path, monkeypatch, capsys):
+        def refuse(src, dst):
+            raise OSError(f"cannot move {src} to {dst}")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        code, out, err = run(capsys, "reproduce", "--quick", "--json", str(tmp_path / "r.json"))
+        assert (code, err.count("\n")) == (2, 1)
+        assert err.startswith("error: cannot move ") and ".tmp-" in err
+        assert "summary: " in out  # the table was written before the JSON
+        assert list(tmp_path.iterdir()) == []
 
     def test_mismatch_exits_one(self, monkeypatch, capsys):
         monkeypatch.setitem(

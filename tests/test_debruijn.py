@@ -40,7 +40,7 @@ from ordo.debruijn import (
     word_encode,
     word_of_vertex,
 )
-from ordo.graphio import graph_to_dot
+from ordo.graphio import graph_dot_lines
 from ordo.graphs import Digraph, SimpleGraph
 from ordo.ramsey import exhaustive_ramsey_check
 from ordo.report import (
@@ -532,7 +532,7 @@ class TestGraphShape:
         p = DBParams(3, 2)
         g = underlying_simple_graph(p)
         names = [word_of_vertex(v, p) for v in range(g.vertex_count)]
-        dot = graph_to_dot(g, names=names, title="B_3_2")
+        dot = "".join(graph_dot_lines(g, names=names, title="B_3_2"))
         assert dot.startswith("graph B_3_2")
         assert '"00" -- "01"' in dot
         assert dot.count("--") == 21

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from ordo import graphio
 from ordo.graphio import (
-    coloring_to_dot,
-    digraph_to_dot,
-    graph_to_dot,
+    coloring_dot_lines,
+    digraph_dot_lines,
+    graph_dot_lines,
     read_coloring,
     read_digraph,
     read_graph,
@@ -612,7 +612,7 @@ class TestWritersMatchSortedPairs:
             ]
             g = SimpleGraph(n, pairs)
             assert write_graph(g) == sorted_pairs_graph(g)
-            assert graph_to_dot(g) == sorted_pairs_graph_dot(g)
+            assert "".join(graph_dot_lines(g)) == sorted_pairs_graph_dot(g)
 
     def test_random_digraphs_with_loops(self):
         rng = random.Random(6)
@@ -623,7 +623,9 @@ class TestWritersMatchSortedPairs:
             d = Digraph(n, arcs)
             marked = set(rng.sample(arcs, min(len(arcs), 3)))
             assert write_digraph(d) == sorted_pairs_digraph(d)
-            assert digraph_to_dot(d, highlight=marked) == sorted_pairs_digraph_dot(d, marked)
+            lines = list(digraph_dot_lines(d, highlight=marked))
+            assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
+            assert "".join(lines) == sorted_pairs_digraph_dot(d, marked)
 
     def test_isolated_vertices_and_loops(self):
         g = SimpleGraph(6, [(4, 1), (1, 3)])
@@ -635,29 +637,37 @@ class TestWritersMatchSortedPairs:
 class TestDot:
     def test_graph_dot(self):
         g = SimpleGraph(3, [(0, 1)])
-        dot = graph_to_dot(g, title="T")
+        dot = "".join(graph_dot_lines(g, title="T"))
         assert dot.startswith("graph T {")
         assert '"1" -- "2"' in dot
         assert dot.rstrip().endswith("}")
 
     def test_custom_names(self):
         g = SimpleGraph(2, [(0, 1)])
-        dot = graph_to_dot(g, names=["aa", "bb"])
+        dot = "".join(graph_dot_lines(g, names=["aa", "bb"]))
         assert '"aa" -- "bb"' in dot
         with pytest.raises(ValueError, match="node names"):
-            graph_to_dot(g, names=["aa"])
+            next(graph_dot_lines(g, names=["aa"]))
 
     def test_digraph_highlight(self):
         d = random_tournament(4, random.Random(1)).digraph
         some_arc = next(iter(d.arcs))
-        dot = digraph_to_dot(d, highlight=[some_arc])
+        dot = "".join(digraph_dot_lines(d, highlight=[some_arc]))
         assert "penwidth" in dot and "red" in dot
         missing = (some_arc[1], some_arc[0])
         for bad in (missing, (-1, 0), (0, -1), (4, 0), (0, 4)):
             with pytest.raises(ValueError, match="missing arc"):
-                digraph_to_dot(d, highlight=[bad])
+                next(digraph_dot_lines(d, highlight=[bad]))
 
     def test_coloring_dot_uses_palette(self):
         col = EdgeColoring.from_function(3, 2, lambda u, v: (u + v) % 2)
-        dot = coloring_to_dot(col)
-        assert "blue" in dot and "red" in dot
+        assert list(coloring_dot_lines(col)) == [
+            "graph G {\n",
+            '  "1";\n',
+            '  "2";\n',
+            '  "3";\n',
+            '  "1" -- "2" [color=red];\n',
+            '  "1" -- "3" [color=blue];\n',
+            '  "2" -- "3" [color=red];\n',
+            "}\n",
+        ]

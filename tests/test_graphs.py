@@ -604,3 +604,27 @@ class TestEdgeColoring:
             col.color_of(0, 3)
         with pytest.raises(ValueError):
             col.color_class(2)
+
+    def test_equality_and_hash(self):
+        a = EdgeColoring(3, 2, [0, 1, 0])
+        b = EdgeColoring.from_function(3, 2, lambda u, v: int((u, v) == (0, 2)))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != EdgeColoring(3, 3, [0, 1, 0])
+        assert a != a.colors and a.colors != a
+
+
+class TestReprAndTypes:
+    def test_reprs(self):
+        d = Digraph(3, [(0, 1), (1, 2), (2, 0)])
+        assert repr(SimpleGraph(4, [(0, 1), (2, 3)])) == "SimpleGraph(4, 2 edges)"
+        assert repr(d) == "Digraph(3, 3 arcs)"
+        assert repr(Tournament(d)) == "Tournament(3 vertices)"
+        assert repr(EdgeColoring(3, 2, [0, 1, 0])) == "EdgeColoring(K_3, 2 colors)"
+
+    def test_graph_and_digraph_with_the_same_rows_differ(self):
+        g = SimpleGraph(3, [(0, 1), (1, 2)])
+        d = Digraph(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
+        assert g.adj == d.out_adj
+        assert g != d and d != g
+        assert not g == d and not d == g
