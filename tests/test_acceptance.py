@@ -4,16 +4,13 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as
 they print.  Criterion 1 compares the greedy construction against the
 reference linear form on record; the two disagree (the bundled
 reference data carries the discrepancy flag), so that test fails by
-design rather than hiding the difference.  The (7,2) stretch search
-behind criterion 6 only runs with `--long-budget`.
+design rather than hiding the difference.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-
-import pytest
 
 from ordo.debruijn import (
     DBParams,
@@ -187,23 +184,12 @@ def test_criterion_06_stretch_6_2():
     assert ok
 
 
-def test_criterion_06_stretch_7_2(long_budget):
-    if not long_budget:
-        pytest.skip("stretch search; enable with --long-budget")
+def test_criterion_06_stretch_7_2():
     listed = REFERENCE_SEEDS[(7, 2)][0]
     family = rotation_family(word_decode(listed, DBParams(7, 2)))
     assert pairwise_arc_disjoint(family), "listed (7,2) seed is not a valid family"
     found, result = _search_until(DBParams(7, 2), {listed}, 900.0)
-    if result.budget_exhausted and listed not in found:
-        _report(
-            6,
-            "stretch seed search (7,2)",
-            True,
-            f"budget exhausted after {result.nodes_explored} nodes; "
-            "listed seed validated directly",
-        )
-        pytest.skip("search budget exhausted; the listed seed itself verified")
-    ok = listed in found
+    ok = found == {listed} and result.completed
     _report(6, "stretch seed search (7,2)", ok, f"{result.nodes_explored} nodes")
     assert ok
 

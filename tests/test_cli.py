@@ -504,7 +504,7 @@ class TestSeedSearch:
             assert "seed search limit" in err
 
     def test_budget_exit_code(self, capsys):
-        # the first (7,2) seed lies hundreds of millions of nodes deep; the
+        # the first (7,2) seed lies 2,373,355 nodes deep, about 2 s; the
         # whole (6,2) first-seed search can finish inside 0.05 s
         code, _, err = run(
             capsys, "debruijn", "seed-search", "7", "2", "--budget", "0.05"

@@ -62,6 +62,7 @@ PINNED_ENTRIES = [
     ("seed search (5,2), first seed", "default", False, "the reference seed, found first"),
     ("seed search (3,3), first seed", "default", False, "the reference seed, found first"),
     ("seed search (6,2), first seed", "default", False, "the reference seed, found first"),
+    ("seed search (7,2), first seed", "default", False, "the reference seed, found first"),
     ("seed search (4,3), both reference seeds", "default", False,
      "both reference seeds among the first 18 completing words"),
     ("seed validity (7,2)", "default", False,
@@ -260,6 +261,7 @@ class TestRunOne:
         for claim in (
             "seed search (3,3), first seed",
             "seed search (6,2), first seed",
+            "seed search (7,2), first seed",
             "seed search (4,3), both reference seeds",
             "seed validity (7,2)",
         ):

@@ -67,6 +67,7 @@ def reference_seed_search(
     node_budget: int | None = None,
     resume_after: DeBruijnWord | None = None,
     cutoff: int | None = None,
+    pruned: list[int] | None = None,
 ) -> tuple[list[str], int, bool, bool]:
     """(seeds, nodes_explored, completed, budget_exhausted) of a seed
     search, by a DFS that tests every letter's step against the state at
@@ -76,7 +77,8 @@ def reference_seed_search(
     With a cutoff, a node whose path leaves at least cutoff vertices off
     it is counted and then pruned when some vertex off the path has no
     free arc in from the new vertex or from another vertex off the path:
-    every Hamiltonian completion enters each such vertex along one."""
+    every Hamiltonian completion enters each such vertex along one.
+    pruned, if given, collects the count of each node the cutoff prunes."""
     n, m = params.n, params.m
     total = params.vertex_count
     base = n ** (m - 1)
@@ -141,6 +143,8 @@ def reference_seed_search(
             tight = step_tight
             syms.append(s)
             stack.append(iter(steps[w][bound[depth + 1]:] if tight else steps[w]))
+        elif pruned is not None:
+            pruned.append(nodes)
         if nodes == node_budget:
             out_of_budget = True
             break
@@ -160,6 +164,9 @@ SMALL_GRAPHS = [
 ]
 NODE_CAP = 40_000
 RESUMABLE = (DBParams(3, 2), DBParams(4, 2), DBParams(2, 4))
+# the kernel's in-test cutoff; no graph in SMALL_GRAPHS has enough vertices
+# to reach it, so their pruned and unpruned references agree
+CUTOFF = 16
 
 
 @functools.lru_cache(maxsize=None)
@@ -196,16 +203,16 @@ def expected_search(
 ):
     """What searched() must return: B(n,1) for even n >= 4 holds no seed
     and is answered before any node, whatever the budget; every other
-    graph is the reference search."""
+    graph is the reference search, pruned at the kernel's cutoff."""
     if no_seed_by_arithmetic(params):
         return [], 0, True, False
-    return reference_seed_search(params, find_all, node_budget, resume_after)
+    return reference_seed_search(params, find_all, node_budget, resume_after, CUTOFF)
 
 
 @functools.lru_cache(maxsize=None)
 def tree_size(params: DBParams, find_all: bool, resume_after) -> int:
     # the nodes of the uncapped search, or NODE_CAP when it runs past it
-    return reference_seed_search(params, find_all, NODE_CAP, resume_after)[1]
+    return reference_seed_search(params, find_all, NODE_CAP, resume_after, CUTOFF)[1]
 
 
 class TestAgainstTheReference:
@@ -235,8 +242,45 @@ class TestAgainstTheReference:
         for resume in words[::1000] + words[-3:]:
             for budget in range(18):
                 assert searched(p, True, node_budget=budget, resume_after=resume) == (
-                    reference_seed_search(p, True, budget, resume)
+                    reference_seed_search(p, True, budget, resume, CUTOFF)
                 ), (word_encode(resume), budget)
+
+    def test_budgets_across_a_pruned_tree(self):
+        # B(2,5) has 32 vertices, so its search runs the in-test at depths
+        # below 15.  None of the 110 nodes it prunes falls on an even stride
+        # of budgets, so some budgets are put on them
+        p = DBParams(2, 5)
+        pruned: list[int] = []
+        size = reference_seed_search(p, True, cutoff=CUTOFF, pruned=pruned)[1]
+        budgets = {0, 1, size - 1, size, size + 1, *range(0, size, size // 8)}
+        for budget in sorted(budgets | set(pruned[:: len(pruned) // 4])):
+            assert searched(p, True, node_budget=budget) == (
+                reference_seed_search(p, True, budget, cutoff=CUTOFF)
+            ), budget
+
+    def test_resumes_across_a_pruned_tree(self):
+        p = DBParams(2, 5)
+        for text in reference_seed_search(p, True, cutoff=CUTOFF)[0][::500]:
+            resume = word_decode(text, p)
+            assert searched(p, True, resume_after=resume) == (
+                reference_seed_search(p, True, None, resume, CUTOFF)
+            ), text
+
+    def test_resume_walks_that_the_in_test_cuts(self):
+        # none of these (3,3) words is a seed, and the in-test prunes a node
+        # on each one's own path: the resume walk stops there, as the
+        # reference's does, and the search goes on above that node
+        p = DBParams(3, 3)
+        for text in (
+            "00010220212011012111222100200",
+            "00011012111201022020021222100",
+            "00011121221101020222012002100",
+        ):
+            resume = word_decode(text, p)
+            for budget in (300, 3000):
+                assert searched(p, True, node_budget=budget, resume_after=resume) == (
+                    reference_seed_search(p, True, budget, resume, CUTOFF)
+                ), (text, budget)
 
     @settings(max_examples=150, derandomize=True, database=None)
     @given(st.data())
@@ -616,15 +660,27 @@ class TestSizeGuard:
 
 class TestParityPins:
     # exact node counts and seeds: nodes_explored is part of the result
-    # (budgets, cache entries), so a faster search must not move it
+    # (budgets, cache entries), so a faster search must not move it.  Each
+    # number is the reference's, pruned at the kernel's cutoff
     def test_full_trees(self):
-        for (n, m), nodes, seeds in (((3, 2), 126, 4), ((4, 2), 22_470, 288)):
+        for (n, m), nodes, seeds in (
+            ((3, 2), 126, 4),
+            ((4, 2), 22_470, 288),
+            ((3, 3), 675_648, 4_192),
+            ((2, 5), 68_215, 2_048),
+        ):
             result = rotation_seed_search(DBParams(n, m), find_all=True)
             assert (result.nodes_explored, len(result.seeds)) == (nodes, seeds)
             assert result.completed and not result.budget_exhausted
 
     def test_nodes_to_first_seed(self):
-        for (n, m), nodes in (((5, 2), 786), ((3, 3), 323), ((6, 2), 94_511), ((4, 3), 6_051)):
+        for (n, m), nodes in (
+            ((5, 2), 786),
+            ((3, 3), 323),
+            ((6, 2), 1_813),
+            ((4, 3), 820),
+            ((7, 2), 2_373_355),
+        ):
             result = rotation_seed_search(DBParams(n, m))
             assert result.nodes_explored == nodes
             assert word_encode(result.seeds[0]) == REFERENCE_SEEDS[(n, m)][0]
@@ -659,6 +715,19 @@ class TestParityPins:
             "00115161312141056020322362453306344665404255264350",
             "00115161312141056020322362453350466542552643063440",
             "00115161312141056020322362453352654255046634430640",
+            "00115161312141056020322365425526404662453306344350",
+            "00115161312141056020322365426344350466255245330640",
+            "00115161312141056020322365466344306245335264042550",
+            "00115161312141056020322366244350463455265330642540",
+            "00115161312141056020322366533062446345526404254350",
+            "00115161312141056020322366533062446345526435042540",
+            "00115161312141056020322366533504254634552643062440",
+            "00115161312141056020322404633623445266530642543550",
+            "00115161312141056020322404665306336234254352644550",
+            "00115161312141056020322440425462366533455264306350",
+            "00115161312141056020322440426654625523345364306350",
+            "00115161312141056020322445526404623665330634254350",
+            "00115161312141056020322445526435046236653306342540",
         ]
 
 
