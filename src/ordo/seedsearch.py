@@ -7,27 +7,48 @@ and keeps the whole family fresh at every step: no power of s fixes
 any non-loop arc, so every usable arc has a full (n-1)-element orbit,
 committing an arc commits its orbit, and freshness collapses to one
 bit per arc.  This prunes enormously earlier than building the family
-per leaf would.  The path and the committed orbits share one state
-bitmask in which a vertex's n successors, and its n out-arcs, take n
-adjacent bits, so the free letters of a vertex are read once, when the
-path reaches it, with two shifts of the state.  The DFS runs on the
-call stack: one recursive call per path vertex holds that vertex's
-steps and state, and a step to a vertex with no free letter is counted
-but makes no call.  The admitted 512 vertices take about 511 frames,
-inside Python's default recursion limit.
+per leaf would.
+
+The path and the committed orbits share one state bitmask of two
+regions.  From bit 0 there is one group of n+2 bits per vertex u: bit k
+of the group is set when the arc into u from the vertex with first
+letter k is retired; bit n is u's visited bit; bit n+1 is a spacer and
+is never set.  From bit (n+2) * n^m there is one bit
+per arc, set when the path can no longer take it: a loop, an arc of a
+committed orbit, an out-arc of a vertex the path has left, or an arc
+into a vertex on the path.  A vertex's n out-arcs are n adjacent bits,
+so its free letters are read once, when the path reaches it, with one
+shift of the state.  Entering a vertex sets its whole group, in-arc
+bits and visited bit alike.
 
 While at least 16 vertices are off the path, the in-test prunes a node
 when some vertex off the path has no free arc in from the path's end or
 from another vertex off it: every Hamiltonian completion enters that
-vertex along such an arc, so no seed is lost.  Leaving a vertex retires
-its out-arcs in the state, and the loops are retired from the start, so
-the free arcs are the clear bits of the arc region, and a few shifts
-fold its n blocks onto the vertices they enter.  A pruned node is
-counted and checked against the budgets like any other; only the nodes
-below it are skipped.  Near the leaves the test costs more than it
-saves, hence the cutoff.  With the test the first (7,2) seed takes
-2,373,355 nodes, about 2 s; without it, a search of 1,039,507,456 nodes
-found none.
+vertex along such an arc, so no seed is lost.  Adding one to the lowest
+bit of every group carries into the visited bit exactly when all n
+in-arc bits are set; a vertex on the path has n+1 bits set, so its
+carry clears the visited bit and stops in the spacer.  A group holds at
+most those n+1 bits and its spacer is 0, so no carry leaves its group,
+and the test is one addition and one mask: `state + ones & visited`.  A
+pruned node is counted and checked against the budgets like any other;
+only the nodes below it are skipped.  Near the leaves the test costs
+more than it saves, hence the cutoff.  With the test the first (7,2)
+seed takes 2,373,355 nodes, about 1 s; without it, a search of
+1,039,507,456 nodes found none.
+
+The DFS runs in one Python frame: per depth, a list holds the steps
+still to try and another the state, and a step to a vertex with no free
+letter, or one the in-test prunes, is counted but not entered.  A
+recursive call per path vertex ran at a speed that hung on the
+caller's stack depth.  CPython 3.11 keeps frames on a per-thread data
+stack of chunks and frees a chunk as soon as it empties, so a search
+whose path depth moves back and forth across a chunk boundary maps a
+chunk anew on every crossing.  Called from a shallow stack, the
+recursive (7,2) first seed took a median 2.3 s with 130,461 minor page
+faults, and 1.2 s with 78 when called 32 frames deeper (Python 3.11.7,
+a shared 2-core Linux host).  In one frame it takes 0.86-1.07 s, with
+at most 22 faults, from 0 to 32 frames deep, and the search needs no
+recursion headroom.
 
 Seeds stream out in lexicographic word order.  A search can therefore
 resume from the largest seed recorded in a cache file: the DFS walks
@@ -73,10 +94,10 @@ _BUDGET_CHECK_STRIDE = 8192
 # the in-test runs only while at least this many vertices are off the path
 _IN_TEST_CUTOFF = 16
 
-# the step table holds one mask per arc, up to n^(m+1) + n^m bits wide,
+# the step table holds one mask per arc, up to (2n + 2) n^m bits wide,
 # and is built before the first node; the free-step tables fill as masks
-# turn up.  At (22,2), 484 vertices, a 2000-node search takes about 0.1 s,
-# with a tracemalloc peak of 17 MB
+# turn up.  At (22,2), 484 vertices, a 2000-node search takes about 0.07 s,
+# with a tracemalloc peak of 36 MB
 SEED_SEARCH_VERTEX_LIMIT = 2**9
 
 # a cache line's fields, each with its JSON type
@@ -99,10 +120,6 @@ class SeedSearchResult:
     def completed(self) -> bool:
         # tree exhausted, or the search stopped at a seed as asked
         return not self.budget_exhausted
-
-
-class _Stop(Exception):
-    """Unwinds the seed DFS when a seed or a budget ends it."""
 
 
 def _sigma_arc_map(params: DBParams) -> list[int]:
@@ -169,48 +186,58 @@ def rotation_seed_search(
     low = (1 << n) - 1
     arc_image = _sigma_arc_map(params)
 
-    # the search keeps one state bitmask: bit v for each vertex on the
-    # path, bit total + a for each arc a that the path can no longer take:
-    # the loops, the arcs of a committed orbit and the out-arcs of every
-    # vertex it has left.  Per vertex, one step per letter: (letter,
-    # successor, the state bits the step sets).  An arc's orbit has n-1
-    # arcs, repeated only for loops, which the search never takes
-    def step(v: int, s: int) -> tuple[int, int, int]:
-        w = (v % base) * n + s
-        # leaving v also retires its n out-arcs: the path never uses them again
-        add, a = 1 << w | low << total + v * n, v * n + s
-        for _ in range(n - 1):
-            add |= 1 << total + a
-            a = arc_image[a]
-        return s, w, add
+    # the state bitmask (see the module docstring): from bit 0, one group of
+    # n + 2 bits per vertex; from bit at_arcs, one bit per arc, set when the
+    # path can no longer take it.  The arcs into u are u + k * total, k < n,
+    # and arc a has bit a // total of u's group
+    width = n + 2
+    at_arcs = width * total
+    ones = sum(1 << u * width for u in range(total))
+    vpos = ones << n  # the visited bits
+    full = (1 << n + 1) - 1  # an entered vertex's group
 
-    steps = [tuple(step(v, s) for s in range(n)) for v in range(total)]
-    # per vertex w: where its successor bits and its out-arc bits start,
-    # and its free steps by the mask of taken letters, filled as masks turn
-    # up (2^n entries a vertex, built up front, would not fit)
-    lookup = [((v % base) * n, total + v * n, {}) for v in range(total)]
+    def retired(a: int) -> int:
+        return 1 << at_arcs + a | 1 << a % total * width + a // total
+
+    # each step's add mask is made of three parts, each built once: entering
+    # w blocks the n arcs into w and fills w's group; leaving v retires v's n
+    # out-arcs, whose heads share v's successor block; taking arc a commits
+    # a's orbit, n-1 arcs, repeated only for loops, which the path never takes
+    into = sum(1 << k * total for k in range(n)) << at_arcs
+    out_heads = sum(1 << s * width for s in range(n))
+    enter = [into << w | full << w * width for w in range(total)]
+    orbit = [0] * (n * total)
+    for a in range(n * total):
+        if not orbit[a]:
+            members = [a]
+            for _ in range(n - 2):
+                members.append(arc_image[members[-1]])
+            mask = sum(map(retired, set(members)))
+            for b in members:
+                orbit[b] = mask
+    # per vertex, one step per letter: (letter, successor, the state bits
+    # the step sets)
+    steps = []
+    for v in range(total):
+        first = (v % base) * n  # v's first successor
+        leave = low << at_arcs + v * n | out_heads << first * width + v // base
+        steps.append(
+            tuple((s, first + s, enter[first + s] | leave | orbit[v * n + s]) for s in range(n))
+        )
+    del enter, orbit
+    # per vertex w: where its out-arc bits start, and its free steps by the
+    # mask of blocked letters, filled as masks turn up (2^n entries a
+    # vertex, built up front, would not fit)
+    lookup = [(at_arcs + w * n, {}) for w in range(total)]
 
     def free_steps(w: int, state: int) -> tuple[tuple[int, int, int], ...]:
-        at_succ, at_arc, table = lookup[w]
-        taken = (state >> at_succ | state >> at_arc) & low
+        at, table = lookup[w]
+        taken = state >> at & low
         if taken not in table:
             table[taken] = tuple(t for t in steps[w] if not taken >> t[0] & 1)
         return table[taken]
 
-    # the in-test (see the module docstring).  The arcs into u are
-    # u + k * total, k < n, so folding the n blocks of free arcs onto the
-    # lowest sets bit u exactly when u has one
-    vmask = (1 << total) - 1
-    arcs_all = (1 << n * total) - 1
-    folds = tuple(total << k for k in range((n - 1).bit_length()))
-    prune_below = total - 1 - _IN_TEST_CUTOFF  # the depths the test runs at
-
-    def starved(state: int) -> bool:
-        g = arcs_all & ~(state >> total)  # the free arcs
-        for f in folds:
-            g |= g >> f
-        return bool(vmask & ~(state | g))
-
+    prune_below = total - 1 - _IN_TEST_CUTOFF  # the depths the in-test runs at
     bound = [] if resume_after is None else _extension_letters(resume_after)
 
     seeds: list[DeBruijnWord] = []
@@ -223,18 +250,20 @@ def rotation_seed_search(
 
     last = total - 2  # the depth of the last vertex
     syms = [0] * last  # the path's letters, written by depth
-    state = 1  # the path's first vertex, and the loops
+    # per depth: the steps still to try there, and the state there
+    todo: list = [None] * (last + 1)
+    states = [0] * (last + 1)
+    state = full | into  # the path's first vertex, 0^m
     for c in range(n):
-        state |= 1 << total + c * (total - 1) // (n - 1) * n + c
-    v = 0
-    # (steps still to try, the state, the depth) of each frame to visit
-    walk = [] if bound else [(free_steps(0, state), state, 0)]
+        state |= retired(c * (total - 1) // (n - 1) * n + c)  # the loops
+    todo[0], states[0] = iter(free_steps(0, state)), state
+    v = depth = 0
     for depth, b in enumerate(bound):
         # walk the resume word's path once, counting its nodes, as far as
-        # it is free; each frame on it goes on above the word's letter, and
+        # it is free; each depth on it goes on above the word's letter, and
         # the word itself, at the last vertex, is not reported again
         here = free_steps(v, state)
-        walk.append(([t for t in here if t[0] > b], state, depth))
+        todo[depth], states[depth] = iter([t for t in here if t[0] > b]), state
         if steps[v][b] not in here:
             break
         nodes += 1
@@ -243,7 +272,7 @@ def rotation_seed_search(
         syms[depth] = b
         _, v, add = steps[v][b]
         state |= add
-        if depth < prune_below and starved(state):
+        if depth < prune_below and state + ones & vpos:
             break  # the in-test prunes the word's own path here
     # one comparison per node folds both budgets: check_at is the node budget
     # or, with a deadline, the next multiple of the stride (the walk is shorter)
@@ -251,75 +280,57 @@ def rotation_seed_search(
     check_at = min(limit, sys.maxsize if deadline is None else _BUDGET_CHECK_STRIDE)
     if check_at <= nodes:
         return SeedSearchResult(seeds, check_at, True)
-    exhausted = False
 
-    def check() -> None:
-        # at node check_at: stop when a budget has run out, else set the
-        # next check
-        nonlocal check_at, exhausted
-        if nodes == node_budget or time.monotonic() > deadline:
-            exhausted = True
-            raise _Stop
-        check_at = min(limit, nodes + _BUDGET_CHECK_STRIDE)
-
-    def visit(here: tuple[tuple[int, int, int], ...], state: int, depth: int) -> None:
-        # one call per path vertex; its steps are the nodes it counts
-        nonlocal nodes
-        if depth == last:
-            # last vertex: each step closes a seed.  The closing arc
-            # w -> 0^m exists: the path's vertices are the arcs of
-            # B(n, m-1), each once, and a trail through every arc of a
-            # digraph with in-degree = out-degree everywhere ends where it
-            # began, so w ends in m-1 zeros.  It is always free: sigma
-            # fixes the letter 0, so every arc of its orbit appends 0 to a
-            # word ending in m-1 zeros, leading into 0^m, which no path arc
-            # does.
-            for s, _, _ in here:
+    # the DFS runs in this one frame (see the module docstring), from the
+    # root or from the resume walk's deepest depth
+    while depth >= 0:
+        here, state = todo[depth], states[depth]
+        if depth < last:
+            for s, w, add in here:
                 nodes += 1
-                letters = ((0,) * m + tuple(syms) + (s,))[:total]
-                family = _checked_words(params, _family_rows(params, letters))  # one batch
-                assert pairwise_arc_disjoint(family)
-                seeds.append(family[0])
-                stop = on_seed(family[0], nodes) if on_seed is not None else None
-                if stop or not find_all:
-                    raise _Stop
+                child = state | add
+                at, table = lookup[w]
+                try:
+                    free = table[child >> at & low]
+                except KeyError:
+                    free = free_steps(w, child)
                 if nodes == check_at:
-                    check()
-            return
-        prune = depth < prune_below
-        for s, w, add in here:
-            nodes += 1
-            child = state | add
-            # free_steps, inlined
-            at_succ, at_arc, table = lookup[w]
-            free = table.get((child >> at_succ | child >> at_arc) & low)
-            if free is None:
-                free = free_steps(w, child)
-            if nodes == check_at:
-                check()
-            if not free:  # a dead end costs no call
-                continue
-            if prune:
-                # starved, inlined: a pruned node costs no call either
-                g = arcs_all & ~(child >> total)
-                for f in folds:
-                    g |= g >> f
-                if vmask & ~(child | g):
+                    if nodes == node_budget or time.monotonic() > deadline:
+                        return SeedSearchResult(seeds, nodes, True)
+                    check_at = min(limit, nodes + _BUDGET_CHECK_STRIDE)
+                if not free:  # a dead end is counted, not entered
                     continue
-            syms[depth] = s
-            visit(free, child, depth + 1)
-
-    try:
-        # the root, or the resume walk's frames deepest first
-        for frame in reversed(walk):
-            visit(*frame)
-    except _Stop:
-        pass
-    finally:
-        # visit reaches itself through its closure: break that cycle, so the
-        # tables go when the search returns, not at the next collection
-        del visit
-    return SeedSearchResult(seeds, nodes, exhausted)
+                if depth < prune_below and child + ones & vpos:
+                    continue  # the in-test: some vertex off the path is starved
+                syms[depth] = s
+                depth += 1
+                todo[depth], states[depth] = iter(free), child
+                break
+            else:
+                depth -= 1  # every step here is tried: back up a vertex
+            continue
+        # last vertex: each step closes a seed.  The closing arc w -> 0^m
+        # exists: the path's vertices are the arcs of B(n, m-1), each once,
+        # and a trail through every arc of a digraph with in-degree =
+        # out-degree everywhere ends where it began, so w ends in m-1 zeros.
+        # It is always free: sigma fixes the letter 0, so every arc of its
+        # orbit appends 0 to a word ending in m-1 zeros, leading into 0^m,
+        # which no path arc does.
+        for s, _, _ in here:
+            nodes += 1
+            letters = ((0,) * m + tuple(syms) + (s,))[:total]
+            family = _checked_words(params, _family_rows(params, letters))  # one batch
+            assert pairwise_arc_disjoint(family)
+            seeds.append(family[0])
+            stop = on_seed(family[0], nodes) if on_seed is not None else None
+            if stop or not find_all:
+                return SeedSearchResult(seeds, nodes, False)
+            if nodes == check_at:
+                if nodes == node_budget or time.monotonic() > deadline:
+                    return SeedSearchResult(seeds, nodes, True)
+                check_at = min(limit, nodes + _BUDGET_CHECK_STRIDE)
+        depth -= 1
+    return SeedSearchResult(seeds, nodes, False)
 
 
 def append_seed_cache(path: str, word: DeBruijnWord, nodes_explored: int) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import gc
 import json
+import sys
 import time
 import tracemalloc
 
@@ -642,6 +643,21 @@ class TestSizeGuard:
             return rotation_seed_search(DBParams(2, 9), find_all=True, node_budget=3000)
 
         result = nested(300)
+        assert result.budget_exhausted and result.nodes_explored == 3000
+        assert result.seeds
+
+    def test_frame_count_does_not_grow_with_the_path(self):
+        # the DFS runs in one frame: 40 frames of headroom above the caller
+        # carry the (2,9) search to its last vertex, 511 deep
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            result = rotation_seed_search(DBParams(2, 9), find_all=True, node_budget=3000)
+        finally:
+            sys.setrecursionlimit(old)
         assert result.budget_exhausted and result.nodes_explored == 3000
         assert result.seeds
 
