@@ -92,31 +92,25 @@ def exhaustive_ramsey_check(
         return False, EdgeColoring(0, 2, ())
     pairs = [(u, v) for v in range(n) for u in range(v)]
     total = len(pairs)
-    colors = [0] * total
     red: list[int] = [0] * n
     blue: list[int] = [0] * n
+    rules = ((red, m - 2), (blue, k - 2))  # red is tried first
 
     def extend(i: int) -> bool:
         if i == total:
             return True
         u, v = pairs[i]
         bu, bv = 1 << u, 1 << v
-        if (u or not blue[0]) and _clique_in(red, red[u] & red[v], m - 2) is None:
-            red[u] |= bv
-            red[v] |= bu
-            colors[i] = 0
-            if extend(i + 1):
-                return True
-            red[u] ^= bv
-            red[v] ^= bu
-        if _clique_in(blue, blue[u] & blue[v], k - 2) is None:
-            blue[u] |= bv
-            blue[v] |= bu
-            colors[i] = 1
-            if extend(i + 1):
-                return True
-            blue[u] ^= bv
-            blue[v] ^= bu
+        for rows, size in rules:
+            if not u and rows is red and blue[0]:
+                continue  # the symmetry break: vertex 0 has a blue edge already
+            if _clique_in(rows, rows[u] & rows[v], size) is None:
+                rows[u] |= bv
+                rows[v] |= bu
+                if extend(i + 1):
+                    return True
+                rows[u] ^= bv
+                rows[v] ^= bu
         return False
 
     try:
@@ -126,9 +120,9 @@ def exhaustive_ramsey_check(
         # its tables go when the check returns, not at the next collection
         del extend
     if found:
-        # (u, v) with u < v sits at column rank v(v-1)/2 + u
+        # every edge is colored, so an edge not in the red rows is blue
         return False, EdgeColoring.from_function(
-            n, 2, lambda u, v: colors[v * (v - 1) // 2 + u]
+            n, 2, lambda u, v: 0 if red[u] >> v & 1 else 1
         )
     return True, None
 

@@ -50,6 +50,13 @@ a shared 2-core Linux host).  In one frame it takes 0.86-1.07 s, with
 at most 22 faults, from 0 to 32 frames deep, and the search needs no
 recursion headroom.
 
+Every step goes through one loop, the step into the path's last vertex
+too.  That step closes a seed, and its child has no free step: every
+vertex is then on the path, and every arc into a vertex on the path is
+blocked.  So it falls out as a dead end does, and the budgets are
+checked at one point, after each node is counted and, on a closing
+step, after its seed is reported.
+
 Seeds stream out in lexicographic word order.  A search can therefore
 resume from the largest seed recorded in a cache file: the DFS walks
 that word's path once and reports only words strictly above it.
@@ -285,51 +292,44 @@ def rotation_seed_search(
     # root or from the resume walk's deepest depth
     while depth >= 0:
         here, state = todo[depth], states[depth]
-        if depth < last:
-            for s, w, add in here:
-                nodes += 1
-                child = state | add
-                at, table = lookup[w]
-                try:
-                    free = table[child >> at & low]
-                except KeyError:
-                    free = free_steps(w, child)
-                if nodes == check_at:
-                    if nodes == node_budget or time.monotonic() > deadline:
-                        return SeedSearchResult(seeds, nodes, True)
-                    check_at = min(limit, nodes + _BUDGET_CHECK_STRIDE)
-                if not free:  # a dead end is counted, not entered
-                    continue
-                if depth < prune_below and child + ones & vpos:
-                    continue  # the in-test: some vertex off the path is starved
-                syms[depth] = s
-                depth += 1
-                todo[depth], states[depth] = iter(free), child
-                break
-            else:
-                depth -= 1  # every step here is tried: back up a vertex
-            continue
-        # last vertex: each step closes a seed.  The closing arc w -> 0^m
-        # exists: the path's vertices are the arcs of B(n, m-1), each once,
-        # and a trail through every arc of a digraph with in-degree =
-        # out-degree everywhere ends where it began, so w ends in m-1 zeros.
-        # It is always free: sigma fixes the letter 0, so every arc of its
-        # orbit appends 0 to a word ending in m-1 zeros, leading into 0^m,
-        # which no path arc does.
-        for s, _, _ in here:
+        closing = depth == last  # each step here enters the last vertex
+        for s, w, add in here:
             nodes += 1
-            letters = ((0,) * m + tuple(syms) + (s,))[:total]
-            family = _checked_words(params, _family_rows(params, letters))  # one batch
-            assert pairwise_arc_disjoint(family)
-            seeds.append(family[0])
-            stop = on_seed(family[0], nodes) if on_seed is not None else None
-            if stop or not find_all:
-                return SeedSearchResult(seeds, nodes, False)
+            child = state | add
+            at, table = lookup[w]
+            try:
+                free = table[child >> at & low]
+            except KeyError:
+                free = free_steps(w, child)
+            if closing:
+                # the step closes a seed.  The closing arc w -> 0^m exists:
+                # the path's vertices are the arcs of B(n, m-1), each once,
+                # and a trail through every arc of a digraph with in-degree
+                # = out-degree everywhere ends where it began, so w ends in
+                # m-1 zeros.  It is always free: sigma fixes the letter 0,
+                # so every arc of its orbit appends 0 to a word ending in
+                # m-1 zeros, leading into 0^m, which no path arc does
+                letters = ((0,) * m + tuple(syms) + (s,))[:total]
+                family = _checked_words(params, _family_rows(params, letters))  # one batch
+                assert pairwise_arc_disjoint(family)
+                seeds.append(family[0])
+                stop = on_seed(family[0], nodes) if on_seed is not None else None
+                if stop or not find_all:
+                    return SeedSearchResult(seeds, nodes, False)
             if nodes == check_at:
                 if nodes == node_budget or time.monotonic() > deadline:
                     return SeedSearchResult(seeds, nodes, True)
                 check_at = min(limit, nodes + _BUDGET_CHECK_STRIDE)
-        depth -= 1
+            if not free:  # a dead end or a closed seed is counted, not entered
+                continue
+            if depth < prune_below and child + ones & vpos:
+                continue  # the in-test: some vertex off the path is starved
+            syms[depth] = s
+            depth += 1
+            todo[depth], states[depth] = iter(free), child
+            break
+        else:
+            depth -= 1  # every step here is tried: back up a vertex
     return SeedSearchResult(seeds, nodes, False)
 
 

@@ -109,6 +109,22 @@ class TestExhaustiveCheck:
         assert not holds
         assert verify_coloring(counterexample, (4, 3)) is None
 
+    @pytest.mark.parametrize(
+        "m, k, n, colors",
+        [
+            (3, 3, 5, "0011101100"),
+            (3, 4, 8, "0001111110011101011010110010"),
+            (4, 3, 8, "0000111001011100010010100000"),
+        ],
+    )
+    def test_counterexamples_are_pinned(self, m, k, n, colors):
+        # the first coloring the search reaches, red (0) before blue (1) at
+        # every edge; `ordo ramsey search` prints it.  The pairs are in
+        # lexicographic rank order
+        holds, counterexample = exhaustive_ramsey_check(m, k, n)
+        assert not holds
+        assert counterexample == EdgeColoring(n, 2, map(int, colors))
+
     def test_matches_brute_force_oracle(self):
         # every 2-coloring of K_n for n <= 6 as a bitmask over the
         # lexicographic pairs (bit set = red); largest red and blue

@@ -283,6 +283,20 @@ class TestAgainstTheReference:
                     reference_seed_search(p, True, budget, resume, CUTOFF)
                 ), (text, budget)
 
+    def test_budgets_that_end_on_seed_nodes(self):
+        # a closing step is counted, its seed recorded, and only then is the
+        # budget checked: a budget that ends on a seed's node keeps that seed,
+        # and one a node short does not.  (4,2) finds 288 seeds, so every
+        # 16th is taken, with its last
+        for p, stride in ((DBParams(3, 2), 1), (DBParams(4, 2), 16), (DBParams(2, 4), 1)):
+            counts: list[int] = []
+            rotation_seed_search(p, True, on_seed=lambda _, k: counts.append(k))
+            for k in counts[::stride] + counts[-1:]:
+                for budget in (k - 1, k):
+                    assert searched(p, True, node_budget=budget) == (
+                        reference_seed_search(p, True, budget, cutoff=CUTOFF)
+                    ), (p, budget)
+
     @settings(max_examples=150, derandomize=True, database=None)
     @given(st.data())
     def test_resumed_and_budgeted_searches(self, data):
@@ -633,10 +647,10 @@ class TestSizeGuard:
         assert peak < 40_000_000
 
     def test_deepest_path_fits_the_default_recursion_limit(self):
-        # the search takes one Python frame per path vertex.  (2,9) has the
+        # the search adds no Python frame per path vertex.  (2,9) has the
         # most vertices admitted, 512, and within 3,000 nodes its path
-        # reaches the last of them (it finds seeds); it still fits when
-        # the caller is already 300 frames deep
+        # reaches the last of them (it finds seeds); it runs when the
+        # caller is already 300 frames deep
         def nested(depth: int):
             if depth:
                 return nested(depth - 1)
@@ -662,8 +676,9 @@ class TestSizeGuard:
         assert result.seeds
 
     def test_search_leaves_no_reference_cycle(self):
-        # the recursive visit reaches itself through its closure; left as a
-        # cycle, each search's tables would live on until a collection
+        # the search's inner functions reach its tables through their
+        # closures; should one reach itself, as a recursive DFS would, each
+        # search's tables would live on until a collection
         for kwargs in ({}, {"find_all": True}, {"find_all": True, "node_budget": 50}):
             gc.collect()
             gc.disable()
