@@ -471,23 +471,17 @@ def sigma(word: DeBruijnWord) -> DeBruijnWord:
 def rotation_family(seed: DeBruijnWord) -> list[DeBruijnWord]:
     """The n-1 cycles [seed, sigma(seed), ..., sigma^(n-2)(seed)]; the
     images are checked as one batch, which raises the constructor's
-    error for the first bad image."""
-    return [seed] + _checked_words(seed.params, _family_rows(seed.params, seed.letters)[1:])
-
-
-def _family_rows(params: DBParams, letters: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """rotation_family's letters for a seed with these letters, unchecked:
-    sigma fixes 0, so each image of a word starting at 0^m starts there
-    too, and the n-2 images are one array of letter-map powers."""
-    n = params.n
+    error for the first bad image.  sigma fixes 0, so each image still
+    starts at 0^m, and the n-2 images are one array of letter-map powers."""
+    n = seed.params.n
     if n == 2:
-        return [letters]
+        return [seed]
     smap = np.array(sigma_symbol_map(n))
     powers = [smap]  # powers[k] maps a letter to its image under sigma^(k+1)
     for _ in range(n - 3):
         powers.append(smap[powers[-1]])
-    images = np.array(powers)[:, np.array(letters, dtype=np.int64)]
-    return [letters] + list(map(tuple, images.tolist()))
+    images = np.array(powers)[:, np.array(seed.letters, dtype=np.int64)]
+    return [seed] + _checked_words(seed.params, list(map(tuple, images.tolist())))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,10 @@ and keeps the whole family fresh at every step: no power of s fixes
 any non-loop arc, so every usable arc has a full (n-1)-element orbit,
 committing an arc commits its orbit, and freshness collapses to one
 bit per arc.  This prunes enormously earlier than building the family
-per leaf would.
+per leaf would.  The same orbits prove each seed found: as no power of s
+fixes an arc of H, two copies share an arc exactly when two arcs of H
+share an orbit, so the family is pairwise arc-disjoint exactly when H's
+n^m arcs lie in n^m distinct orbits.
 
 The path and the committed orbits share one state bitmask of two
 regions.  From bit 0 there is one group of n+2 bits per vertex u: bit k
@@ -79,9 +82,8 @@ from typing import Callable
 from .debruijn import (
     DBParams,
     DeBruijnWord,
+    _arc_ids,
     _check_vertex_limit,
-    _checked_words,
-    _family_rows,
     pairwise_arc_disjoint,
     rotation_family,
     sigma_symbol_map,
@@ -103,8 +105,8 @@ _IN_TEST_CUTOFF = 16
 
 # the step table holds one mask per arc, up to (2n + 2) n^m bits wide,
 # and is built before the first node; the free-step tables fill as masks
-# turn up.  At (22,2), 484 vertices, a 2000-node search takes about 0.07 s,
-# with a tracemalloc peak of 36 MB
+# turn up.  At (22,2), 484 vertices, a 2000-node search takes about 0.02 s
+# in a fresh process, with a tracemalloc peak of 35.6 MB (10^6 bytes)
 SEED_SEARCH_VERTEX_LIMIT = 2**9
 
 # a cache line's fields, each with its JSON type
@@ -129,15 +131,22 @@ class SeedSearchResult:
         return not self.budget_exhausted
 
 
-def _sigma_arc_map(params: DBParams) -> list[int]:
-    # arc (v, s) has id v * n + s, its m+1 letters read as a base-n
-    # number, so sigma maps the id letter by letter
+def _arc_orbits(params: DBParams) -> list[int]:
+    # each arc's sigma-orbit, named by its least arc.  Arc (v, s) has id
+    # v * n + s, its m+1 letters read as a base-n number, so sigma maps the
+    # id letter by letter; each new orbit is walked once through that image
     n = params.n
     smap = sigma_symbol_map(n)
-    images = [0]
+    image = [0]
     for _ in range(params.m + 1):
-        images = [x * n + smap[d] for x in images for d in range(n)]
-    return images
+        image = [x * n + smap[d] for x in image for d in range(n)]
+    names = [-1] * len(image)
+    for a in range(len(image)):
+        b = a
+        while names[b] < 0:
+            names[b] = a
+            b = image[b]
+    return names
 
 
 def _extension_letters(word: DeBruijnWord) -> list[int]:
@@ -191,7 +200,7 @@ def rotation_seed_search(
     total = params.vertex_count
     base = n ** (m - 1)
     low = (1 << n) - 1
-    arc_image = _sigma_arc_map(params)
+    names = _arc_orbits(params)
 
     # the state bitmask (see the module docstring): from bit 0, one group of
     # n + 2 bits per vertex; from bit at_arcs, one bit per arc, set when the
@@ -209,27 +218,22 @@ def rotation_seed_search(
     # each step's add mask is made of three parts, each built once: entering
     # w blocks the n arcs into w and fills w's group; leaving v retires v's n
     # out-arcs, whose heads share v's successor block; taking arc a commits
-    # a's orbit, n-1 arcs, repeated only for loops, which the path never takes
+    # a's orbit, one mask per orbit, kept under the orbit's name
     into = sum(1 << k * total for k in range(n)) << at_arcs
     out_heads = sum(1 << s * width for s in range(n))
     enter = [into << w | full << w * width for w in range(total)]
     orbit = [0] * (n * total)
-    for a in range(n * total):
-        if not orbit[a]:
-            members = [a]
-            for _ in range(n - 2):
-                members.append(arc_image[members[-1]])
-            mask = sum(map(retired, set(members)))
-            for b in members:
-                orbit[b] = mask
+    for a, name in enumerate(names):
+        orbit[name] |= retired(a)
     # per vertex, one step per letter: (letter, successor, the state bits
     # the step sets)
     steps = []
     for v in range(total):
         first = (v % base) * n  # v's first successor
         leave = low << at_arcs + v * n | out_heads << first * width + v // base
+        named = names[v * n : v * n + n]  # v's out-arcs, by orbit name
         steps.append(
-            tuple((s, first + s, enter[first + s] | leave | orbit[v * n + s]) for s in range(n))
+            tuple((s, first + s, enter[first + s] | leave | orbit[named[s]]) for s in range(n))
         )
     del enter, orbit
     # per vertex w: where its out-arc bits start, and its free steps by the
@@ -309,11 +313,10 @@ def rotation_seed_search(
                 # m-1 zeros.  It is always free: sigma fixes the letter 0,
                 # so every arc of its orbit appends 0 to a word ending in
                 # m-1 zeros, leading into 0^m, which no path arc does
-                letters = ((0,) * m + tuple(syms) + (s,))[:total]
-                family = _checked_words(params, _family_rows(params, letters))  # one batch
-                assert pairwise_arc_disjoint(family)
-                seeds.append(family[0])
-                stop = on_seed(family[0], nodes) if on_seed is not None else None
+                seed = DeBruijnWord(params, ((0,) * m + tuple(syms) + (s,))[:total])
+                assert len({names[a] for a in _arc_ids([seed]).ravel().tolist()}) == total
+                seeds.append(seed)
+                stop = on_seed(seed, nodes) if on_seed is not None else None
                 if stop or not find_all:
                     return SeedSearchResult(seeds, nodes, False)
             if nodes == check_at:

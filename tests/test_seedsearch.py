@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from ordo.debruijn import (
     DBParams,
     DeBruijnWord,
+    _arc_ids,
     _check_words,
     _cycle_letters,
     _windows,
@@ -31,6 +32,7 @@ from ordo.debruijn import (
 from ordo.report import REFERENCE_SEEDS
 from ordo.seedsearch import (
     _BUDGET_CHECK_STRIDE,
+    _arc_orbits,
     _extension_letters,
     append_seed_cache,
     resume_seeds,
@@ -358,6 +360,30 @@ class TestPrunedReference:
                 DBParams(3, 2), True, budget, cutoff=0
             )
             assert (nodes, exhausted, completed) == (min(budget, 84), budget <= 84, budget > 84)
+
+
+class TestArcOrbits:
+    @pytest.mark.parametrize(
+        "params", SMALL_GRAPHS + [DBParams(3, 3), DBParams(7, 2)], ids=lambda p: f"{p.n}_{p.m}"
+    )
+    def test_names_split_the_arcs_into_the_reference_orbits(self, params):
+        # each arc is named by the least arc of its orbit, so two arcs share
+        # a name exactly when they share a reference orbit
+        assert _arc_orbits(params) == [min(orbit) for orbit in reference_arc_orbits(params)]
+
+    @pytest.mark.parametrize(
+        "n, m, seeds, words", [(3, 2, 4, 24), (2, 3, 2, 2), (4, 2, 288, 20_736)]
+    )
+    def test_distinct_names_prove_a_disjoint_family(self, n, m, seeds, words):
+        # the seed DFS's proof of each seed: a census word's arcs lie in
+        # distinct orbits exactly when its rotation family is pairwise
+        # arc-disjoint.  Both outcomes occur in (3,2) and (4,2)
+        params = DBParams(n, m)
+        census = census_words(params)
+        names = np.sort(np.array(_arc_orbits(params))[_arc_ids(census)], axis=0)
+        distinct = (np.diff(names, axis=0) > 0).all(axis=0).tolist()  # one batch
+        assert distinct == [pairwise_arc_disjoint(rotation_family(w)) for w in census]
+        assert (sum(distinct), len(census)) == (seeds, words)
 
 
 class TestFullSearch:
