@@ -402,13 +402,15 @@ def _seeds_4_3(seed: int) -> tuple[str, str]:
     params = DBParams(4, 3)
     listed = set(REFERENCE_SEEDS[(4, 3)])
     expected = "both reference seeds among the first 18 completing words"
-    have: set[str] = set()
+    found: list[str] = []
 
     def on_seed(w, nodes):
-        have.add(word_encode(w))
-        return listed <= have
+        # stop at both reference seeds, or at the 18th word the claim names
+        found.append(word_encode(w))
+        return listed <= set(found) or len(found) == 18
 
     result = rotation_seed_search(params, find_all=True, on_seed=on_seed)
+    have = set(found)
     if listed <= have and len(result.seeds) == 18:
         return expected, expected
     missing = sorted(listed - have)

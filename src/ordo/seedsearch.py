@@ -24,19 +24,22 @@ so its free letters are read once, when the path reaches it, with one
 shift of the state.  Entering a vertex sets its whole group, in-arc
 bits and visited bit alike.
 
-While at least 16 vertices are off the path, the in-test prunes a node
-when some vertex off the path has no free arc in from the path's end or
-from another vertex off it: every Hamiltonian completion enters that
-vertex along such an arc, so no seed is lost.  Adding one to the lowest
-bit of every group carries into the visited bit exactly when all n
-in-arc bits are set; a vertex on the path has n+1 bits set, so its
-carry clears the visited bit and stops in the spacer.  A group holds at
-most those n+1 bits and its spacer is 0, so no carry leaves its group,
-and the test is one addition and one mask: `state + ones & visited`.  A
-pruned node is counted and checked against the budgets like any other;
-only the nodes below it are skipped.  Near the leaves the test costs
-more than it saves, hence the cutoff.  With the test the first (7,2)
-seed takes 2,373,355 nodes, about 1 s; without it, a search of
+At every node the in-test prunes when some vertex off the path has no
+free arc in from the path's end or from another vertex off it: every
+Hamiltonian completion enters that vertex along such an arc, so no seed
+is lost.  Adding one to the lowest bit of every group carries into the
+visited bit exactly when all n in-arc bits are set; a vertex on the path
+has n+1 bits set, so its carry clears the visited bit and stops in the
+spacer.  A group holds at most those n+1 bits and its spacer is 0, so no
+carry leaves its group, and the test is one addition and one mask:
+`state + ones & visited`.  A pruned node is counted and checked against
+the budgets like any other; only the nodes below it are skipped.  With
+one vertex off the path the test cannot prune: the test runs only on a
+node with a free step, and the path's end can step only into that
+vertex, along a free arc into it.  So skipping the test while fewer than
+two vertices are off the path would leave the search as it is.  With the
+test the first (7,2) seed takes 379,201 nodes, about 0.07 s (Python
+3.11.7, a shared 2-core Linux host); without it, a search of
 1,039,507,456 nodes found none.
 
 The DFS runs in one Python frame: per depth, a list holds the steps
@@ -46,12 +49,9 @@ recursive call per path vertex ran at a speed that hung on the
 caller's stack depth.  CPython 3.11 keeps frames on a per-thread data
 stack of chunks and frees a chunk as soon as it empties, so a search
 whose path depth moves back and forth across a chunk boundary maps a
-chunk anew on every crossing.  Called from a shallow stack, the
-recursive (7,2) first seed took a median 2.3 s with 130,461 minor page
-faults, and 1.2 s with 78 when called 32 frames deeper (Python 3.11.7,
-a shared 2-core Linux host).  In one frame it takes 0.86-1.07 s, with
-at most 22 faults, from 0 to 32 frames deep, and the search needs no
-recursion headroom.
+chunk anew on every crossing.  In one frame the speed does not depend
+on how deep the search is called from, and it needs no recursion
+headroom.
 
 Every step goes through one loop, the step into the path's last vertex
 too.  That step closes a seed, and its child has no free step: every
@@ -99,9 +99,6 @@ __all__ = [
 ]
 
 _BUDGET_CHECK_STRIDE = 8192
-
-# the in-test runs only while at least this many vertices are off the path
-_IN_TEST_CUTOFF = 16
 
 # the step table holds one mask per arc, up to (2n + 2) n^m bits wide,
 # and is built before the first node; the free-step tables fill as masks
@@ -248,7 +245,6 @@ def rotation_seed_search(
             table[taken] = tuple(t for t in steps[w] if not taken >> t[0] & 1)
         return table[taken]
 
-    prune_below = total - 1 - _IN_TEST_CUTOFF  # the depths the in-test runs at
     bound = [] if resume_after is None else _extension_letters(resume_after)
 
     seeds: list[DeBruijnWord] = []
@@ -283,7 +279,7 @@ def rotation_seed_search(
         syms[depth] = b
         _, v, add = steps[v][b]
         state |= add
-        if depth < prune_below and state + ones & vpos:
+        if state + ones & vpos:
             break  # the in-test prunes the word's own path here
     # one comparison per node folds both budgets: check_at is the node budget
     # or, with a deadline, the next multiple of the stride (the walk is shorter)
@@ -325,7 +321,7 @@ def rotation_seed_search(
                 check_at = min(limit, nodes + _BUDGET_CHECK_STRIDE)
             if not free:  # a dead end or a closed seed is counted, not entered
                 continue
-            if depth < prune_below and child + ones & vpos:
+            if child + ones & vpos:
                 continue  # the in-test: some vertex off the path is starved
             syms[depth] = s
             depth += 1

@@ -504,10 +504,11 @@ class TestSeedSearch:
             assert "seed search limit" in err
 
     def test_budget_exit_code(self, capsys):
-        # the first (7,2) seed lies 2,373,355 nodes deep, about 2 s; the
-        # whole (6,2) first-seed search can finish inside 0.05 s
+        # no (8,2) seed turned up in 162,848,768 nodes, about 30 s; the
+        # first (7,2) seed lies 379,201 nodes deep, about 0.07 s, so a fast
+        # host could find it inside 0.05 s
         code, _, err = run(
-            capsys, "debruijn", "seed-search", "7", "2", "--budget", "0.05"
+            capsys, "debruijn", "seed-search", "8", "2", "--budget", "0.05"
         )
         assert code == 3
         assert "budget exhausted" in err

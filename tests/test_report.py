@@ -238,6 +238,25 @@ class TestRunOne:
         entry = _run_one(claim, 0)
         assert (entry.status, entry.computed) == (STATUS_MISMATCH, computed)
 
+    def test_seeds_4_3_stops_at_the_claimed_count(self, monkeypatch):
+        # a kernel that admits non-seeds would stream words without end;
+        # the entry stops it at the 18th, the count its claim names
+        streamed = []
+
+        def fake(params, find_all, on_seed):
+            word = martin(params)
+            while len(streamed) < 100:  # a cap, should the entry never stop it
+                streamed.append(word)
+                if on_seed(word, len(streamed)):
+                    break
+            return SimpleNamespace(seeds=streamed)
+
+        monkeypatch.setattr(report, "rotation_seed_search", fake)
+        entry = _run_one("seed search (4,3), both reference seeds", 0)
+        assert len(streamed) == 18
+        missing = "missing: " + ", ".join(sorted(report.REFERENCE_SEEDS[(4, 3)]))
+        assert (entry.status, entry.computed) == (STATUS_MISMATCH, missing)
+
     def test_count_checks_every_batch(self, monkeypatch):
         # the count entry reads the census's letter batches, not its words;
         # a bad row in the first, a middle or the short last batch raises

@@ -95,13 +95,14 @@ def reference_seed_search(
     ]
 
     def starved(state: int, w: int) -> bool:
-        return any(
-            not state >> u & 1
-            and not any(
-                (p == w or not state >> p & 1) and not state >> arc & 1 for p, arc in arcs_in[u]
-            )
-            for u in range(total)
-        )
+        for u in range(total):
+            if not state >> u & 1:
+                for p, arc in arcs_in[u]:
+                    if (p == w or not state >> p & 1) and not state >> arc & 1:
+                        break  # u has a free arc in
+                else:
+                    return True
+        return False
 
     def step(v: int, s: int) -> tuple[int, int, int, int]:
         w = (v % base) * n + s
@@ -167,9 +168,9 @@ SMALL_GRAPHS = [
 ]
 NODE_CAP = 40_000
 RESUMABLE = (DBParams(3, 2), DBParams(4, 2), DBParams(2, 4))
-# the kernel's in-test cutoff; no graph in SMALL_GRAPHS has enough vertices
-# to reach it, so their pruned and unpruned references agree
-CUTOFF = 16
+# the kernel runs the in-test at every node, so the reference it is held to
+# prunes at cutoff 0, and every graph here reaches the prune
+CUTOFF = 0
 
 
 @functools.lru_cache(maxsize=None)
@@ -249,9 +250,9 @@ class TestAgainstTheReference:
                 ), (word_encode(resume), budget)
 
     def test_budgets_across_a_pruned_tree(self):
-        # B(2,5) has 32 vertices, so its search runs the in-test at depths
-        # below 15.  None of the 110 nodes it prunes falls on an even stride
-        # of budgets, so some budgets are put on them
+        # B(2,5) has 32 vertices.  Only one of the 1,460 nodes its search
+        # prunes falls on an even stride of budgets, so some budgets are put
+        # on them
         p = DBParams(2, 5)
         pruned: list[int] = []
         size = reference_seed_search(p, True, cutoff=CUTOFF, pruned=pruned)[1]
@@ -718,13 +719,14 @@ class TestSizeGuard:
 class TestParityPins:
     # exact node counts and seeds: nodes_explored is part of the result
     # (budgets, cache entries), so a faster search must not move it.  Each
-    # number is the reference's, pruned at the kernel's cutoff
+    # number is the reference's, run with its in-test at every node
+    # (cutoff=0), as the kernel runs it
     def test_full_trees(self):
         for (n, m), nodes, seeds in (
-            ((3, 2), 126, 4),
-            ((4, 2), 22_470, 288),
-            ((3, 3), 675_648, 4_192),
-            ((2, 5), 68_215, 2_048),
+            ((3, 2), 84, 4),
+            ((4, 2), 10_704, 288),
+            ((3, 3), 224_434, 4_192),
+            ((2, 5), 54_954, 2_048),
         ):
             result = rotation_seed_search(DBParams(n, m), find_all=True)
             assert (result.nodes_explored, len(result.seeds)) == (nodes, seeds)
@@ -732,11 +734,11 @@ class TestParityPins:
 
     def test_nodes_to_first_seed(self):
         for (n, m), nodes in (
-            ((5, 2), 786),
-            ((3, 3), 323),
-            ((6, 2), 1_813),
-            ((4, 3), 820),
-            ((7, 2), 2_373_355),
+            ((5, 2), 235),
+            ((3, 3), 48),
+            ((6, 2), 394),
+            ((4, 3), 570),
+            ((7, 2), 379_201),
         ):
             result = rotation_seed_search(DBParams(n, m))
             assert result.nodes_explored == nodes
@@ -744,13 +746,13 @@ class TestParityPins:
 
     def test_budget_equal_to_the_tree_still_reports_exhausted(self):
         # the budget stops the search right after its last counted node
-        for budget, exhausted in ((125, True), (126, True), (127, False)):
+        for budget, exhausted in ((83, True), (84, True), (85, False)):
             result = rotation_seed_search(DBParams(3, 2), find_all=True, node_budget=budget)
             assert result.budget_exhausted is exhausted
             assert result.completed is not exhausted
-            assert result.nodes_explored == min(budget, 126)
-        result = rotation_seed_search(DBParams(5, 2), node_budget=786)
-        assert result.completed and result.nodes_explored == 786 and len(result.seeds) == 1
+            assert result.nodes_explored == min(budget, 84)
+        result = rotation_seed_search(DBParams(5, 2), node_budget=235)
+        assert result.completed and result.nodes_explored == 235 and len(result.seeds) == 1
 
     def test_budgeted_resume_seven_two(self):
         # a letter-permuted greedy word sits early in lexicographic order
@@ -785,6 +787,46 @@ class TestParityPins:
             "00115161312141056020322440426654625523345364306350",
             "00115161312141056020322445526404623665330634254350",
             "00115161312141056020322445526435046236653306342540",
+            "00115161312141056020322463445330623665042543552640",
+            "00115161312141056020322466344533062365042554352640",
+            "00115161312141056020322466530625435042633455236440",
+            "00115161312141056020322530644352365426334550466240",
+            "00115161312141056020322530644352404662365426334550",
+            "00115161312141056020322536504633064355426623445240",
+            "00115161312141056020322543062344524633550426653640",
+            "00115161312141056020322543063352445504623426653640",
+            "00115161312141056020322543523644665306240426334550",
+            "00115161312141056020322546234452404266536430633550",
+            "00115161312141056020322546335504266536430623445240",
+            "00115161312141056020322550426546624533443063523640",
+            "00115161312141056020322554263445330643524046623650",
+            "00115161312141056020322554306350466245233426536440",
+            "00115161312141056020324042665364306233452254463550",
+            "00115161312141056020324046623345364430635225426550",
+            "00115161312141056020324046623654263522530644334550",
+            "00115161312141056020324455046236653064335263422540",
+            "00115161312141056020324462334536655042254306352640",
+            "00115161312141056020324462364334550426653063522540",
+            "00115161312141056020324462366530635264334550422540",
+            "00115161312141056020324526350466255433653064223440",
+            "00115161312141056020324526433665306355042234462540",
+            "00115161312141056020324526536634223355046254430640",
+            "00115161312141056020324530634404665422362552643350",
+            "00115161312141056020324530635236433446225504266540",
+            "00115161312141056020324530642236650462543355263440",
+            "00115161312141056020324530642554335266344046223650",
+            "00115161312141056020324530643350466542236255263440",
+            "00115161312141056020324530643355263440462542236650",
+            "00115161312141056020324536254223440466552643063350",
+            "00115161312141056020324536542234433063504662552640",
+            "00115161312141056020324536650422344625433063552640",
+            "00115161312141056020324552234265364433063504662540",
+            "00115161312141056020324552643063425440462236653350",
+            "00115161312141056020324552644046223665306342543350",
+            "00115161312141056020324634552643062236653350425440",
+            "00115161312141056020324662334536544306352640422550",
+            "00115161312141056020324662344536504225543306352640",
+            "00115161312141056020324662364433455042653063522540",
         ]
 
 
